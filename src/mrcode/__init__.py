@@ -9,7 +9,7 @@ from .core import (CodeLengthProfile, ComparisonCounter, ConstructionStats,
                    WeightItem, WeightList, assignment_from_lengths, code_cost,
                    distinct_length_count, kraft_sum, monotone,
                    verify_exclusion)
-from .selection import RankedGroup, find_median, select_rank, weighted_median
+from .selection import select_rank
 from .split import (LeafSlice, SplitResult, add_weights, cut,
                     find_splitting_all, find_splitting_internal,
                     find_t_largest, find_t_smallest, node_count)
@@ -27,15 +27,14 @@ __all__ = [
     "CanonicalTable", "CodeLengthProfile", "ComparisonCounter",
     "ConstructionMode", "ConstructionStats", "ContainerFormatError",
     "DecodeError", "InvalidAssignmentError", "LeafSlice", "LevelState",
-    "LevelTraceEntry", "PendingPool", "RankedGroup", "SplitResult",
+    "LevelTraceEntry", "PendingPool", "SplitResult",
     "WeightItem", "WeightList", "add_weights", "assign_level0",
     "assign_weights_to_level", "assignment_from_lengths",
     "brute_force_optimal", "canonical_codes", "code_cost",
     "compute_next_level", "construct_lengths", "count_nodes", "cut",
-    "decode", "distinct_length_count", "encode", "find_median",
+    "decode", "distinct_length_count", "encode",
     "find_splitting_all", "find_splitting_internal", "find_t_largest",
     "find_t_smallest", "huffman_lengths", "huffman_sorted_lengths",
     "kraft_sum", "maintain_kraft", "monotone", "node_count",
     "pack_container", "select_rank", "unpack_container", "verify_exclusion",
-    "weighted_median",
 ]

@@ -15,14 +15,12 @@ from typing import Callable, Literal
 
 from .core import (CodeLengthProfile, ComparisonCounter, ConstructionStats,
                    LevelState, LevelTraceEntry, WeightItem, WeightList)
-from .split import (LeafSlice, _Env, _Seg, _fsa, _psum, _rank_split,
-                    node_count as _node_count)
+from .split import LeafSlice, _Env, _fsa, _rank_split, node_count as _node_count
 
 
 @dataclass(frozen=True)
 class ConstructionMode:
     algorithm: Literal["basic", "detailed"] = "detailed"
-    comparison_counting: bool = True
 
     def __post_init__(self) -> None:
         if self.algorithm not in ("basic", "detailed"):
@@ -70,22 +68,7 @@ class PendingPool:
         if self.presorted:
             second = self.arr[self.cur + 1] if len(self) > 1 else None
             return self.arr[self.cur], second
-        if len(self.arr) == 1:
-            return self.arr[0], None
-        cnt = self.cnt
-        a, b = self.arr[0], self.arr[1]
-        cnt.count += 1
-        if b < a:
-            a, b = b, a
-        for x in self.arr[2:]:
-            cnt.count += 1
-            if x < b:
-                cnt.count += 1
-                if x < a:
-                    a, b = x, a
-                else:
-                    b = x
-        return a, b
+        return _two_smallest(self.arr, self.cnt)
 
     def take_below(self, bound: int) -> list[WeightItem]:
         """Remove and return every weight with value strictly below `bound`."""
@@ -184,20 +167,7 @@ class _Levels:
         self._psums[level] = None
 
     def slice(self) -> LeafSlice:
-        segs: dict[int, list[_Seg]] = {}
-        n = 0
-        for lv, arr in self.items.items():
-            if not arr:
-                continue
-            ps = None
-            if self.presorted:
-                ps = self._psums.get(lv)
-                if ps is None or len(ps) != len(arr) + 1:
-                    ps = _psum(arr)
-                    self._psums[lv] = ps
-            segs[lv] = [_Seg(arr, 0, len(arr), ps)]
-            n += len(arr)
-        return LeafSlice(segs, n, self.presorted)
+        return LeafSlice.from_arrays(self.items, self.presorted, self._psums)
 
     def state(self) -> LevelState:
         return LevelState.from_lists({lv: arr for lv, arr in self.items.items() if arr})
@@ -207,10 +177,8 @@ class _Levels:
 
     def apply_move(self, moved: LeafSlice, cnt: ComparisonCounter) -> None:
         """Raise every weight of `moved` one level."""
-        for lv in sorted(moved.segs, reverse=True):
+        for lv in reversed(moved.levels()):
             mv = moved.level_items(lv)
-            if not mv:
-                continue
             src = self.items[lv]
             if len(mv) == len(src):
                 src = []
@@ -232,25 +200,24 @@ class _Levels:
             self._psums[lv + 1] = None
 
 
-def _two_smallest_keys(keys: list[tuple[int, int]], cnt: ComparisonCounter):
-    best = keys[0]
-    second = None
-    for k in keys[1:]:
-        if second is None:
+def _two_smallest(items: list, cnt: ComparisonCounter):
+    """The two smallest items, by counted comparisons (None for a second
+    when there is one item)."""
+    if len(items) == 1:
+        return items[0], None
+    a, b = items[0], items[1]
+    cnt.count += 1
+    if b < a:
+        a, b = b, a
+    for x in items[2:]:
+        cnt.count += 1
+        if x < b:
             cnt.count += 1
-            if k < best:
-                best, second = k, best
+            if x < a:
+                a, b = x, a
             else:
-                second = k
-        else:
-            cnt.count += 1
-            if k < second:
-                cnt.count += 1
-                if k < best:
-                    best, second = k, best
-                else:
-                    second = k
-    return best, second
+                b = x
+    return a, b
 
 
 def _assign_level0(levels: _Levels, pool: PendingPool, env: _Env) -> int:
@@ -273,10 +240,10 @@ def _assign_to_level(level: int, levels: _Levels, pool: PendingPool, env: _Env) 
         second, _ = _rank_split(level, rest, 1, env)
         keys.append((second.total_value(), second.min_index()))
     w1, w2 = pool.two_smallest()
-    keys.append((w1[0], w1[1]))
+    keys.append(w1)
     if w2 is not None:
-        keys.append((w2[0], w2[1]))
-    best, second_key = _two_smallest_keys(keys, env.cnt)
+        keys.append(w2)
+    best, second_key = _two_smallest(keys, env.cnt)
     bound = best[0] + second_key[0]
     taken = pool.take_below(bound)
     levels.add(level, taken)
@@ -351,8 +318,7 @@ def construct_lengths(weights: WeightList,
         raise ValueError("no weights")
     counter = ComparisonCounter()
     if n == 1:
-        stats = ConstructionStats(0, counter.count if mode.comparison_counting else None,
-                                  1, ())
+        stats = ConstructionStats(0, counter.count, 1, ())
         return CodeLengthProfile((1,)), stats
 
     env = _Env(weights.sorted_flag, counter)
@@ -420,9 +386,7 @@ def construct_lengths(weights: WeightList,
     if iterations > 2 * k:
         raise AssertionError(
             f"{iterations} assignment iterations exceed twice the {k} distinct lengths")
-    stats = ConstructionStats(iterations,
-                              counter.count if mode.comparison_counting else None,
-                              k, tuple(trace))
+    stats = ConstructionStats(iterations, counter.count, k, tuple(trace))
     return profile, stats
 
 

@@ -30,13 +30,6 @@ class ComparisonCounter:
     def __init__(self) -> None:
         self.count = 0
 
-    def add(self, n: int = 1) -> None:
-        self.count += n
-
-    def less(self, a, b) -> bool:
-        self.count += 1
-        return a < b
-
 
 class WeightItem(NamedTuple):
     """One input weight with its original 0-based position.
@@ -178,7 +171,7 @@ class ConstructionStats:
     """
 
     iterations: int
-    weight_comparisons: int | None
+    weight_comparisons: int
     distinct_lengths: int
     trace: tuple[LevelTraceEntry, ...]
 

@@ -8,7 +8,7 @@ with zero counted comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from typing import Sequence
 
 from .core import ComparisonCounter, WeightItem
@@ -34,17 +34,7 @@ def _median5(a, b, c, d, e, cnt: ComparisonCounter):
 
 def _small_median(group: list, cnt: ComparisonCounter):
     """Median (lower) of up to 4 items by counted insertion sort."""
-    out = [group[0]]
-    for x in group[1:]:
-        i = len(out)
-        while i > 0:
-            cnt.count += 1
-            if x < out[i - 1]:
-                i -= 1
-            else:
-                break
-        out.insert(i, x)
-    return out[(len(out) + 1) // 2 - 1]
+    return _select(group, (len(group) + 1) // 2, cnt)[0]
 
 
 def _pivot(items: list, cnt: ComparisonCounter):
@@ -66,22 +56,32 @@ def _select(items: list, t: int, cnt: ComparisonCounter):
     highs_acc: list = []
     work = items
     while True:
-        if len(work) == 1:
-            assert t == 1
+        n = len(work)
+        if n == 1:
+            if t != 1:
+                raise ValueError(f"rank {t} out of range 1..1")
             return work[0], lows_acc, highs_acc
-        if len(work) <= 32:
+        if n <= 32:
             # counted insertion sort; n(n-1)/2 comparisons stay below the
-            # 24n selection budget for every n up to 49
-            out = [work[0]]
-            for x in work[1:]:
-                i = len(out)
-                while i > 0:
-                    cnt.count += 1
-                    if x < out[i - 1]:
-                        i -= 1
-                    else:
-                        break
-                out.insert(i, x)
+            # 24n selection budget for every n up to 49.  Inserting into k
+            # sorted items at position i scans past the k - i larger ones,
+            # plus the one that stops the scan if i > 0; the k sum to
+            # n(n-1)/2, and bisection finds each i without a counted step.
+            # Input already sorted, as the remainders of an earlier
+            # selection are, costs one comparison per insertion.
+            out = sorted(work)
+            if out == work:
+                c = n - 1
+            else:
+                out = [work[0]]
+                c = n * (n - 1) // 2
+                for x in work[1:]:
+                    i = bisect_right(out, x)
+                    out.insert(i, x)
+                    c += (i > 0) - i
+            cnt.count += c
+            if work is items:
+                return out[t - 1], out[:t - 1], out[t:]
             lows_acc.extend(out[:t - 1])
             highs_acc.extend(out[t:])
             return out[t - 1], lows_acc, highs_acc
@@ -90,7 +90,7 @@ def _select(items: list, t: int, cnt: ComparisonCounter):
         highs = []
         push_lo = lows.append
         push_hi = highs.append
-        cnt.count += len(work) - 1
+        cnt.count += n - 1
         for x in work:
             if x is pivot:
                 continue
@@ -128,54 +128,4 @@ def select_rank(items: Sequence[WeightItem], t: int,
     if presorted:
         return items[t - 1], list(items[:t - 1]), list(items[t:])
     cnt = counter if counter is not None else ComparisonCounter()
-    return _select(list(items), t, cnt)
-
-
-def find_median(items: Sequence[WeightItem],
-                counter: ComparisonCounter | None = None,
-                presorted: bool = False):
-    """Lower median: select_rank with t = floor((n + 1) / 2)."""
-    if not items:
-        raise ValueError("median of empty list")
-    return select_rank(items, (len(items) + 1) // 2, counter, presorted)
-
-
-@dataclass(frozen=True)
-class RankedGroup:
-    """Rank-ordered blocks of (weights of one node, multiplicity)."""
-
-    blocks: tuple[tuple[tuple[WeightItem, ...], int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("empty group")
-        for weights, mult in self.blocks:
-            if mult != len(weights):
-                raise ValueError("block multiplicity must equal its weight count")
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.blocks)
-
-    @classmethod
-    def from_weight_lists(cls, lists: Sequence[Sequence[WeightItem]]) -> "RankedGroup":
-        return cls(tuple((tuple(ws), len(ws)) for ws in lists))
-
-
-def weighted_median(group: RankedGroup, target: int):
-    """First block whose cumulative multiplicity exceeds the target.
-
-    Equivalently: the largest prefix of blocks with cumulative multiplicity
-    at most ``target`` is put aside, and the next block is chosen.  Pure
-    prefix-sum arithmetic; no value comparisons.
-    """
-    if not 0 <= target <= group.total_multiplicity:
-        raise ValueError("target out of range")
-    acc = 0
-    for i, (weights, mult) in enumerate(group.blocks):
-        if acc + mult > target:
-            return i + 1, group.blocks[i], group.blocks[:i], group.blocks[i + 1:]
-        acc += mult
-    # target == total multiplicity: the last block is closest from below
-    i = len(group.blocks) - 1
-    return i + 1, group.blocks[i], group.blocks[:i], ()
+    return _select(items, t, cnt)

@@ -23,38 +23,6 @@ from .core import ComparisonCounter, InvalidAssignmentError, LevelState, WeightI
 from .selection import select_rank
 
 
-class _Seg:
-    """Contiguous run arr[lo:hi] of one level's weights."""
-
-    __slots__ = ("arr", "lo", "hi", "psum")
-
-    def __init__(self, arr, lo, hi, psum=None):
-        self.arr = arr
-        self.lo = lo
-        self.hi = hi
-        self.psum = psum
-
-    def __len__(self):
-        return self.hi - self.lo
-
-    def items(self):
-        return self.arr[self.lo:self.hi]
-
-    def total(self):
-        if self.psum is not None:
-            return self.psum[self.hi] - self.psum[self.lo]
-        return sum(it[0] for it in self.arr[self.lo:self.hi])
-
-
-def _psum(arr):
-    return [0] + list(accumulate(it[0] for it in arr))
-
-
-def _seg_of(items, presorted):
-    arr = list(items)
-    return _Seg(arr, 0, len(arr), _psum(arr) if presorted else None)
-
-
 class _Env:
     __slots__ = ("presorted", "cnt")
 
@@ -64,60 +32,95 @@ class _Env:
 
 
 class LeafSlice:
-    """Weights of consecutive-rank nodes, grouped by assigned level."""
+    """Weights of consecutive-rank nodes, grouped by assigned level.
+
+    ``segs`` maps each level that holds weights to a non-empty rope of
+    segments ``(arr, lo, hi, psum)``: the run ``arr[lo:hi]``, with ``psum``
+    the prefix sums of ``arr`` (presorted levels) or None.
+    """
 
     __slots__ = ("segs", "n", "presorted")
 
-    def __init__(self, segs: dict[int, list[_Seg]], n: int, presorted: bool):
+    def __init__(self, segs: dict[int, list[tuple]], n: int, presorted: bool):
         self.segs = segs
         self.n = n
         self.presorted = presorted
 
     @classmethod
+    def from_arrays(cls, arrays: Mapping[int, list[WeightItem]], presorted: bool,
+                    psums: dict[int, list[int] | None]) -> "LeafSlice":
+        """Slice of whole level arrays, which it shares rather than copies.
+
+        Presorted slices sum through per-level prefix sums.  `psums` keeps
+        them between calls: an entry that is missing, None or no longer
+        one longer than its level is rebuilt here.
+        """
+        segs: dict[int, list[tuple]] = {}
+        n = 0
+        for lv, arr in arrays.items():
+            if not arr:
+                continue
+            ps = None
+            if presorted:
+                ps = psums.get(lv)
+                if ps is None or len(ps) != len(arr) + 1:
+                    ps = psums[lv] = [0, *accumulate(it[0] for it in arr)]
+            segs[lv] = [(arr, 0, len(arr), ps)]
+            n += len(arr)
+        return cls(segs, n, presorted)
+
+    @classmethod
     def from_levels(cls, levels: Mapping[int, Sequence[WeightItem]],
                     presorted: bool = False) -> "LeafSlice":
-        segs: dict[int, list[_Seg]] = {}
-        n = 0
+        arrays = {}
         for lv in sorted(levels):
             items = list(levels[lv])
-            if not items:
-                continue
             if presorted:
                 for a, b in zip(items, items[1:]):
                     if b < a:
                         raise ValueError(f"level {lv} is not in ascending order")
-            segs[lv] = [_seg_of(items, presorted)]
-            n += len(items)
-        return cls(segs, n, presorted)
+            arrays[lv] = items
+        return cls.from_arrays(arrays, presorted, {})
 
     @classmethod
     def from_state(cls, state: LevelState, presorted: bool = False) -> "LeafSlice":
         return cls.from_levels(state.levels, presorted)
 
     def levels(self) -> list[int]:
-        return sorted(lv for lv, segs in self.segs.items() if segs)
+        return sorted(self.segs)
 
     def level_items(self, level: int) -> list[WeightItem]:
         out: list[WeightItem] = []
-        for s in self.segs.get(level, ()):
-            out.extend(s.items())
+        for arr, lo, hi, _ in self.segs.get(level, ()):
+            out += arr[lo:hi]
         return out
 
     def all_items(self) -> list[WeightItem]:
         out: list[WeightItem] = []
         for lv in self.levels():
-            out.extend(self.level_items(lv))
+            out += self.level_items(lv)
         return out
 
     def level_count(self, level: int) -> int:
-        return sum(len(s) for s in self.segs.get(level, ()))
+        n = 0
+        for _, lo, hi, _ in self.segs.get(level, ()):
+            n += hi - lo
+        return n
 
     def total_value(self) -> int:
-        return sum(s.total() for segs in self.segs.values() for s in segs)
+        total = 0
+        for segs in self.segs.values():
+            for arr, lo, hi, ps in segs:
+                if ps is not None:
+                    total += ps[hi] - ps[lo]
+                else:
+                    for it in arr[lo:hi]:
+                        total += it[0]
+        return total
 
     def min_index(self) -> int:
-        return min(it[1] for segs in self.segs.values() for s in segs
-                   for it in s.arr[s.lo:s.hi])
+        return min(it[1] for segs in self.segs.values() for arr, lo, hi, _ in segs
+                   for it in arr[lo:hi])
 
     def __len__(self) -> int:
         return self.n
@@ -142,27 +145,37 @@ def _empty(env) -> LeafSlice:
     return LeafSlice({}, 0, env.presorted)
 
 
-def _of(level, segs, env) -> LeafSlice:
-    n = sum(len(s) for s in segs)
+def _of(level, segs, n, env) -> LeafSlice:
+    """Slice of `n` leaves at `level`; it keeps the list `segs`."""
     if n == 0:
         return LeafSlice({}, 0, env.presorted)
-    return LeafSlice({level: list(segs)}, n, env.presorted)
+    return LeafSlice({level: segs}, n, env.presorted)
 
 
 def _one(level, item, env) -> LeafSlice:
-    arr = [item]
-    return LeafSlice({level: [_Seg(arr, 0, 1, [0, item[0]])]}, 1, env.presorted)
+    return LeafSlice({level: [((item,), 0, 1, None)]}, 1, env.presorted)
 
 
-def _cat(parts: Iterable[LeafSlice], env) -> LeafSlice:
-    segs: dict[int, list[_Seg]] = {}
-    n = 0
+def _cat(parts: Iterable[LeafSlice], env, level=None, leaf_segs=(), nleaf=0) -> LeafSlice:
+    """Union of the parts, plus `nleaf` weights in `leaf_segs` at `level`,
+    which no part holds.  Each level's segments keep the parts' order."""
+    segs: dict[int, list[tuple]] = {}
+    n = nleaf
+    only = None
     for part in parts:
         if part.n == 0:
             continue
+        only = None if n else part
         for lv, ss in part.segs.items():
-            segs.setdefault(lv, []).extend(ss)
+            if lv in segs:
+                segs[lv] += ss
+            else:
+                segs[lv] = list(ss)
         n += part.n
+    if only is not None:
+        return only  # slices are never mutated, so one part can be shared
+    if nleaf:
+        segs[level] = leaf_segs
     return LeafSlice(segs, n, env.presorted)
 
 
@@ -170,177 +183,227 @@ def _below(sl: LeafSlice, level: int) -> LeafSlice:
     segs = {}
     n = 0
     for lv, ss in sl.segs.items():
-        if lv < level and ss:
+        if lv < level:
             segs[lv] = ss
-            n += sum(len(s) for s in ss)
-        elif lv > level and ss:
+            for _, lo, hi, _ in ss:
+                n += hi - lo
+        elif lv > level:
             raise InvalidAssignmentError(f"slice holds weights above level {level}")
     return LeafSlice(segs, n, sl.presorted)
 
 
-def _leaf_select(segs: list[_Seg], t: int, env):
+def _leaf_select(segs: list[tuple], t: int, env):
     """t-th smallest leaf of the window; returns (item, lo, hi, nlo, nhi)."""
-    total = sum(s.hi - s.lo for s in segs)
-    assert 1 <= t <= total
+    total = 0
+    for _, lo, hi, _ in segs:
+        total += hi - lo
+    if not 1 <= t <= total:
+        raise ValueError(f"rank {t} out of range 1..{total}")
     if total == 1:
-        return segs[0].arr[segs[0].lo], [], [], 0, 0
+        arr, lo, _, _ = segs[0]
+        return arr[lo], [], [], 0, 0
     if env.presorted:
         acc = 0
-        for i, s in enumerate(segs):
-            ln = len(s)
+        for i, (arr, lo, hi, ps) in enumerate(segs):
+            ln = hi - lo
             if acc + ln >= t:
-                off = t - acc - 1
-                item = s.arr[s.lo + off]
-                lo = list(segs[:i])
-                if off:
-                    lo.append(_Seg(s.arr, s.lo, s.lo + off, s.psum))
-                hi = []
-                if s.lo + off + 1 < s.hi:
-                    hi.append(_Seg(s.arr, s.lo + off + 1, s.hi, s.psum))
-                hi.extend(segs[i + 1:])
-                return item, lo, hi, t - 1, total - t
+                at = lo + t - acc - 1
+                lows = segs[:i]
+                if at > lo:
+                    lows.append((arr, lo, at, ps))
+                highs = [(arr, at + 1, hi, ps)] if at + 1 < hi else []
+                highs += segs[i + 1:]
+                return arr[at], lows, highs, t - 1, total - t
             acc += ln
         raise AssertionError("unreachable")
-    flat: list[WeightItem] = []
-    for s in segs:
-        flat.extend(s.arr[s.lo:s.hi])
+    if len(segs) == 1:
+        arr, lo, hi, _ = segs[0]
+        flat = arr[lo:hi]
+    else:
+        flat = []
+        for arr, lo, hi, _ in segs:
+            flat += arr[lo:hi]
     item, lows, highs = select_rank(flat, t, env.cnt)
-    lo = [_seg_of(lows, False)] if lows else []
-    hi = [_seg_of(highs, False)] if highs else []
-    return item, lo, hi, len(lows), len(highs)
-
-
-def _leaf_above_node(item: WeightItem, node_value: int, node: LeafSlice, env) -> bool:
-    """One counted comparison; value ties fall back to smallest original index."""
-    env.cnt.count += 1
-    if item[0] != node_value:
-        return item[0] > node_value
-    return item[1] > node.min_index()
+    nlo = len(lows)
+    nhi = total - 1 - nlo
+    return (item, [(lows, 0, nlo, None)] if nlo else [],
+            [(highs, 0, nhi, None)] if nhi else [], nlo, nhi)
 
 
 def node_count(level: int, sl: LeafSlice) -> int:
     """Number of nodes at `level` implied by the slice, by pure arithmetic."""
     if sl.n == 0:
         return 0
-    m = 0
-    prev = None
-    for lv in sl.levels():
-        if lv > level:
-            raise InvalidAssignmentError(f"slice holds weights above level {level}")
-        if prev is not None:
-            gap = lv - prev
-            if m & ((1 << gap) - 1):
-                raise InvalidAssignmentError("slice does not fold into whole nodes")
-            m >>= gap
-        m += sl.level_count(lv)
-        prev = lv
+    segs = sl.segs
+    if len(segs) == 1:
+        (prev,) = segs
+        m = sl.n
+    else:
+        m = 0
+        prev = None
+        for lv in sorted(segs):
+            if prev is not None:
+                gap = lv - prev
+                if m & ((1 << gap) - 1):
+                    raise InvalidAssignmentError("slice does not fold into whole nodes")
+                m >>= gap
+            for _, lo, hi, _ in segs[lv]:
+                m += hi - lo
+            prev = lv
+    if prev > level:
+        raise InvalidAssignmentError(f"slice holds weights above level {level}")
     gap = level - prev
     if m & ((1 << gap) - 1):
         raise InvalidAssignmentError("slice does not fold into whole nodes")
     return m >> gap
 
 
-def _fsa(level: int, sl: LeafSlice, env: _Env):
-    """Splitting node among all nodes at `level`; (pos, chi, lower, upper)."""
+def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None, env: _Env):
+    """Node at `level` preceded by smaller-rank nodes of total size `s1`.
+
+    A node's size is its number of weights, so with s1 = n // 2 this finds
+    the splitting node; then returns (pos, chi, lower, upper): its rank,
+    its weights and those of the nodes before and after it.  With `nodes`,
+    the number of nodes at `level`, given, every node has size 1 and the
+    query is a rank split: it stops once the first `s1` nodes are known,
+    and returns them as `lower`, the rest as `upper`, and None for chi.
+
+    Each round compares the median leaf of the leaf window at `level` with
+    the splitting node of the internal window (the two probes).  If the
+    leaf is the larger probe, the nodes known to rank below it are tested
+    against the lower budget `s1`: over it, the leaf goes up with the
+    leaves above it; within it, the internal probe goes down with the
+    internal nodes below it.  If the leaf is the smaller probe, the test
+    mirrors this with the upper budget `s2`.  Once one window is empty
+    the node lies in the other, which is halved until both budgets hold.
+    """
     if sl.n == 0:
         raise ValueError("empty slice")
+    rank = nodes is not None
+    wsegs = sl.segs.get(level, ())
+    if wsegs and len(sl.segs) == 1:
+        # leaves only: the lower median, without narrowing to s1, or the
+        # leaf of rank s1
+        mid, lo, hi, nlo, nhi = _leaf_select(wsegs, s1 if rank else (sl.n + 1) // 2, env)
+        if rank:
+            lo.append(((mid,), 0, 1, None))
+            return nlo + 1, None, _of(level, lo, nlo + 1, env), _of(level, hi, nhi, env)
+        return nlo + 1, _one(level, mid, env), _of(level, lo, nlo, env), _of(level, hi, nhi, env)
     wbelow = _below(sl, level)
-    wsegs = list(sl.segs.get(level, ()))
     nleaf = sl.n - wbelow.n
-    if wbelow.n == 0:
-        mid, lo, hi, nlo, nhi = _leaf_select(wsegs, (nleaf + 1) // 2, env)
-        return nlo + 1, _one(level, mid, env), _of(level, lo, env), _of(level, hi, env)
 
-    s1 = sl.n // 2
-    s2 = sl.n - s1 - 1
-    o1: list[LeafSlice] = []
-    o2r: list[tuple[LeafSlice, ...]] = []
+    s2 = (nodes if rank else sl.n) - s1 - 1
+    q = nodes - nleaf if rank else 0  # rank split: nodes in the internal window
+    # weights found to rank below / above the node: internal-window parts,
+    # and leaf segments at `level`, with their count; the upper side is
+    # gathered in reverse rank order
+    lower: list[LeafSlice] = []
+    upper: list[LeafSlice] = []
+    lo_leaves: list[tuple] = []
+    hi_leaves: list[list[tuple]] = []
+    nlower = nupper = 0
     pos = 1
-    p, chi, p1, p2 = _fsi(level, wbelow, env)
-    chi_val = chi.total_value()
-    mid = lo = hi = None
-    nlo = nhi = 0
-    if nleaf:
-        mid, lo, hi, nlo, nhi = _leaf_select(wsegs, (nleaf + 1) // 2, env)
-    while nleaf:
-        if _leaf_above_node(mid, chi_val, chi, env):
-            if nlo + p1.n + chi.n > s1:
-                o2r.append((_one(level, mid, env), _of(level, hi, env)))
-                s2 -= 1 + nhi
-                wsegs, nleaf = lo, nlo
-                if nleaf:
-                    mid, lo, hi, nlo, nhi = _leaf_select(wsegs, (nleaf + 1) // 2, env)
+    mid = chi = None  # the probes; None once their window has changed
+    while True:
+        if rank and (s1 == 0 or not wbelow.n or not nleaf):
+            break  # a rank split ends without narrowing; see below
+        if nleaf and mid is None:
+            mid, lo, hi, nlo, nhi = _leaf_select(wsegs, (nleaf + 1) // 2, env)
+        if wbelow.n and chi is None:
+            p, chi, p1, p2 = _fsi(level, wbelow, env)
+            chi_val = chi.total_value()
+            c1, c, c2 = (p - 1, 1, q - p) if rank else (p1.n, chi.n, p2.n)
+        if nleaf and wbelow.n:
+            # one counted comparison; a value tie falls back to the
+            # smallest original index
+            env.cnt.count += 1
+            if mid[0] != chi_val:
+                above = mid[0] > chi_val
             else:
-                o1.append(p1)
-                o1.append(chi)
-                s1 -= p1.n + chi.n
-                pos += p
-                wbelow = p2
-                if wbelow.n == 0:
-                    break
-                p, chi, p1, p2 = _fsi(level, wbelow, env)
-                chi_val = chi.total_value()
-        else:
-            if nhi + chi.n + p2.n > s2:
-                o1.append(_of(level, lo, env))
-                o1.append(_one(level, mid, env))
-                s1 -= nlo + 1
-                pos += nlo + 1
-                wsegs, nleaf = hi, nhi
-                if nleaf:
-                    mid, lo, hi, nlo, nhi = _leaf_select(wsegs, (nleaf + 1) // 2, env)
+                above = mid[1] > chi.min_index()
+            if above:
+                leaf_moves = up = nlo + c1 + c > s1
             else:
-                o2r.append((chi, p2))
-                s2 -= chi.n + p2.n
-                wbelow = p1
-                if wbelow.n == 0:
-                    break
-                p, chi, p1, p2 = _fsi(level, wbelow, env)
-                chi_val = chi.total_value()
-
-    if wbelow.n == 0:
-        # the splitting node is a leaf; narrow within the leaf window
-        while nlo > s1 or nhi > s2:
+                leaf_moves = nhi + c + c2 > s2
+                up = not leaf_moves
+        elif nleaf:
+            # the splitting node is a leaf; narrow within the leaf window
             if nlo > s1 and nhi > s2:
                 raise AssertionError("both flank budgets exceeded")
-            if nhi > s2:
-                o1.append(_of(level, lo, env))
-                o1.append(_one(level, mid, env))
-                s1 -= nlo + 1
-                pos += nlo + 1
-                wsegs = hi
-            else:
-                o2r.append((_one(level, mid, env), _of(level, hi, env)))
-                s2 -= 1 + nhi
-                wsegs = lo
-            nleaf = sum(len(s) for s in wsegs)
-            mid, lo, hi, nlo, nhi = _leaf_select(wsegs, (nleaf + 1) // 2, env)
-        o1.append(_of(level, lo, env))
-        o2r.append((_of(level, hi, env),))
-        pos += nlo
-        chi_out = _one(level, mid, env)
-    else:
-        # the splitting node is internal; narrow within the internal window
-        while p1.n > s1 or p2.n > s2:
-            if p1.n > s1 and p2.n > s2:
+            if nlo <= s1 and nhi <= s2:
+                break
+            leaf_moves, up = True, nlo > s1
+        else:
+            # the splitting node is internal; narrow within the internal window
+            if c1 > s1 and c2 > s2:
                 raise AssertionError("both flank budgets exceeded")
-            if p2.n > s2:
-                o1.append(p1)
-                o1.append(chi)
-                s1 -= p1.n + chi.n
-                pos += p
-                wbelow = p2
-            else:
-                o2r.append((chi, p2))
-                s2 -= chi.n + p2.n
-                wbelow = p1
-            p, chi, p1, p2 = _fsi(level, wbelow, env)
-        o1.append(p1)
-        o2r.append((p2,))
-        pos += p - 1
-        chi_out = chi
-    upper = _cat((s for batch in reversed(o2r) for s in batch), env)
-    return pos, chi_out, _cat(o1, env), upper
+            if c1 <= s1 and c2 <= s2:
+                break
+            leaf_moves, up = False, c1 > s1
+        if leaf_moves and up:
+            hi_leaves.append(hi)
+            hi_leaves.append([((mid,), 0, 1, None)])
+            nupper += nhi + 1
+            s2 -= 1 + nhi
+            wsegs, nleaf, mid = lo, nlo, None
+        elif leaf_moves:
+            lo_leaves += lo
+            lo_leaves.append(((mid,), 0, 1, None))
+            nlower += nlo + 1
+            s1 -= nlo + 1
+            pos += nlo + 1
+            wsegs, nleaf, mid = hi, nhi, None
+        elif up:
+            upper.append(p2)
+            upper.append(chi)
+            s2 -= c + c2
+            wbelow, q, chi = p1, c1, None
+        else:
+            lower.append(p1)
+            lower.append(chi)
+            s1 -= c1 + c
+            pos += p
+            wbelow, q, chi = p2, c2, None
+
+    if not rank:
+        if nleaf:
+            lo_leaves += lo
+            hi_leaves.append(hi)
+            nlower += nlo
+            nupper += nhi
+            pos += nlo
+            chi = _one(level, mid, env)
+        else:
+            lower.append(p1)
+            upper.append(p2)
+            pos += p - 1
+    elif s1 == 0:
+        upper.append(wbelow)
+        hi_leaves.append(wsegs)
+        nupper += nleaf
+    elif not wbelow.n:
+        # leaves only: select rank s1 directly, with no median first
+        mid, lo, hi, nlo, nhi = _leaf_select(wsegs, s1, env)
+        lo_leaves += lo
+        lo_leaves.append(((mid,), 0, 1, None))
+        hi_leaves.append(hi)
+        nlower += nlo + 1
+        nupper += nhi
+    else:
+        # internal nodes only: each is 2^gap nodes one leaf level down
+        h = max(wbelow.segs)
+        first, rest = _rank_split(h, wbelow, s1 << (level - h), env)
+        lower.append(first)
+        upper.append(rest)
+    if nupper:
+        hi_leaves = [seg for run in reversed(hi_leaves) for seg in run]
+    return (pos, chi, _cat(lower, env, level, lo_leaves, nlower),
+            _cat(reversed(upper), env, level, hi_leaves, nupper))
+
+
+def _fsa(level: int, sl: LeafSlice, env: _Env):
+    """Splitting node among all nodes at `level`; (pos, chi, lower, upper)."""
+    return _locate(level, sl, sl.n // 2, None, env)
 
 
 def _fsi(level: int, sl: LeafSlice, env: _Env):
@@ -350,23 +413,24 @@ def _fsi(level: int, sl: LeafSlice, env: _Env):
     enclosing whole internal node: the largest `off` nodes below and the
     smallest `span - off - 1` nodes above join the chosen one.
     """
-    levels = sl.levels()
-    if not levels:
+    if not sl.segs:
         raise ValueError("empty slice")
-    h = levels[-1]
+    h = max(sl.segs)
     if h >= level:
         raise InvalidAssignmentError(f"slice holds weights at or above level {level}")
     alpha, chi, o1, o2 = _fsa(h, sl, env)
     span = 1 << (level - h)
     off = (alpha - 1) & (span - 1)
-    if off:
-        keep = node_count(h, o1) - off
-        o1, extra = _rank_split(h, o1, keep, env)
-        chi = _cat((extra, chi), env)
+    parts = [chi]
+    if off:  # o1 holds the alpha - 1 nodes before the chosen one
+        o1, below = _rank_split(h, o1, alpha - 1 - off, env)
+        parts.insert(0, below)
     rest = span - off - 1
     if rest:
-        extra, o2 = _rank_split(h, o2, rest, env)
-        chi = _cat((chi, extra), env)
+        above, o2 = _rank_split(h, o2, rest, env)
+        parts.append(above)
+    if len(parts) > 1:
+        chi = _cat(parts, env)
     return -(-alpha // span), chi, o1, o2
 
 
@@ -379,85 +443,7 @@ def _rank_split(level: int, sl: LeafSlice, t: int, env: _Env):
         return sl, _empty(env)
     if not 0 < t < total:
         raise ValueError(f"rank {t} out of range 1..{total}")
-
-    wbelow = _below(sl, level)
-    wsegs = list(sl.segs.get(level, ()))
-    nleaf = sl.n - wbelow.n
-    if wbelow.n == 0:
-        mid, lo, hi, nlo, nhi = _leaf_select(wsegs, t, env)
-        first = _cat((_of(level, lo, env), _one(level, mid, env)), env)
-        return first, _of(level, hi, env)
-    if nleaf == 0:
-        h = wbelow.levels()[-1]
-        return _rank_split(h, wbelow, t << (level - h), env)
-
-    need = t
-    a_parts: list[LeafSlice] = []
-    b_batches: list[tuple[LeafSlice, ...]] = []
-    mid, lo, hi, nlo, nhi = _leaf_select(wsegs, (nleaf + 1) // 2, env)
-    p, chi, p1, p2 = _fsi(level, wbelow, env)
-    chi_val = chi.total_value()
-    while True:
-        if _leaf_above_node(mid, chi_val, chi, env):
-            # chi is the smaller probe: its rank is at most p + nlo
-            if p + nlo <= need:
-                a_parts.append(p1)
-                a_parts.append(chi)
-                need -= p
-                wbelow = p2
-                if need == 0:
-                    b_batches.append((_of(level, wsegs, env), wbelow))
-                    break
-                if wbelow.n == 0:
-                    mid, lo, hi, nlo, nhi = _leaf_select(wsegs, need, env)
-                    a_parts.append(_of(level, lo, env))
-                    a_parts.append(_one(level, mid, env))
-                    b_batches.append((_of(level, hi, env),))
-                    break
-                p, chi, p1, p2 = _fsi(level, wbelow, env)
-                chi_val = chi.total_value()
-            else:
-                # mid's rank is at least nlo + p + 1 > need
-                b_batches.append((_one(level, mid, env), _of(level, hi, env)))
-                wsegs, nleaf = lo, nlo
-                if nleaf == 0:
-                    h = wbelow.levels()[-1]
-                    a2, b2 = _rank_split(h, wbelow, need << (level - h), env)
-                    a_parts.append(a2)
-                    b_batches.append((b2,))
-                    break
-                mid, lo, hi, nlo, nhi = _leaf_select(wsegs, (nleaf + 1) // 2, env)
-        else:
-            # mid is the smaller probe: its rank is at most nlo + p
-            if nlo + p <= need:
-                a_parts.append(_of(level, lo, env))
-                a_parts.append(_one(level, mid, env))
-                need -= nlo + 1
-                wsegs, nleaf = hi, nhi
-                if need == 0:
-                    b_batches.append((_of(level, wsegs, env), wbelow))
-                    break
-                if nleaf == 0:
-                    h = wbelow.levels()[-1]
-                    a2, b2 = _rank_split(h, wbelow, need << (level - h), env)
-                    a_parts.append(a2)
-                    b_batches.append((b2,))
-                    break
-                mid, lo, hi, nlo, nhi = _leaf_select(wsegs, (nleaf + 1) // 2, env)
-            else:
-                # chi's rank is at least p + nlo + 1 > need
-                b_batches.append((chi, p2))
-                wbelow = p1
-                if wbelow.n == 0:
-                    mid, lo, hi, nlo, nhi = _leaf_select(wsegs, need, env)
-                    a_parts.append(_of(level, lo, env))
-                    a_parts.append(_one(level, mid, env))
-                    b_batches.append((_of(level, hi, env),))
-                    break
-                p, chi, p1, p2 = _fsi(level, wbelow, env)
-                chi_val = chi.total_value()
-    first = _cat(a_parts, env)
-    rest = _cat((s for batch in reversed(b_batches) for s in batch), env)
+    _, _, first, rest = _locate(level, sl, t, total, env)
     return first, rest
 
 

@@ -204,10 +204,30 @@ def test_empty_input_rejected():
 
 def test_comparison_counting_toggle():
     w = WeightList.from_values([3, 1, 2])
-    _, stats = construct_lengths(w, ConstructionMode("detailed", False))
-    assert stats.weight_comparisons is None
     _, stats = construct_lengths(w, DETAILED)
     assert stats.weight_comparisons > 0
+
+
+@pytest.mark.parametrize("algo, presorted, expected", [
+    ("detailed", False, 543), ("detailed", True, 76),
+    ("basic", False, 414), ("basic", True, 63),
+])
+def test_worked_example_comparison_counts(algo, presorted, expected):
+    # exact counts: a change that lowers them updates these pins and
+    # records the old and new numbers in CHANGES.md
+    w = worked_weights()
+    if presorted:
+        w = w.sorted_copy()
+    _, stats = construct_lengths(w, ConstructionMode(algo))
+    assert stats.weight_comparisons == expected
+
+
+@pytest.mark.parametrize("n, expected", [(4096, 125), (16384, 146)])
+def test_example41_sorted_comparison_counts(n, expected):
+    from mrcode.generators import example41
+    w = WeightList.from_values(sorted(example41(n, 0)), sorted_flag=True)
+    _, stats = construct_lengths(w, DETAILED)
+    assert stats.weight_comparisons == expected
 
 
 def test_sorted_two_element_comparison_budget():

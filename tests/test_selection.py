@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrcode import (ComparisonCounter, RankedGroup, WeightItem, find_median,
-                    select_rank, weighted_median)
+from mrcode import ComparisonCounter, WeightItem, select_rank
 
 
 def items_of(values):
@@ -27,19 +26,6 @@ def test_rank_out_of_range():
         select_rank(items_of([1, 2]), 3)
     with pytest.raises(ValueError):
         select_rank(items_of([1, 2]), 0)
-
-
-def test_median_examples():
-    assert find_median(items_of([7])) == (WeightItem(7, 0), [], [])
-    e, lo, hi = find_median(items_of([2, 2, 3, 3]))
-    assert e == WeightItem(2, 1)
-    assert lo == [WeightItem(2, 0)]
-    assert sorted(hi) == [WeightItem(3, 2), WeightItem(3, 3)]
-
-
-def test_median_empty():
-    with pytest.raises(ValueError):
-        find_median([])
 
 
 @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=200),
@@ -78,6 +64,32 @@ def test_comparison_budget_linear():
             assert cnt.count <= 24 * n, (n, cnt.count)
 
 
+def _insertion_sort_comparisons(items):
+    """Comparisons of a right-to-left insertion sort, made one at a time."""
+    out, count = [], 0
+    for x in items:
+        i = len(out)
+        while i > 0:
+            count += 1
+            if x < out[i - 1]:
+                i -= 1
+            else:
+                break
+        out.insert(i, x)
+    return count
+
+
+def test_small_selection_counts_insertion_sort():
+    rng = random.Random(29)
+    for n in range(1, 33):
+        for values in ([rng.randint(1, 9) for _ in range(n)],
+                       list(range(n)), list(range(n, 0, -1))):
+            items = items_of(values)
+            cnt = ComparisonCounter()
+            e, lo, hi = select_rank(items, rng.randint(1, n), cnt)
+            assert cnt.count == _insertion_sort_comparisons(items), values
+
+
 def test_presorted_is_comparison_free():
     items = items_of(sorted([4, 1, 1, 9, 2]))
     # re-index positions so the list is in strict order
@@ -86,60 +98,3 @@ def test_presorted_is_comparison_free():
     e, lo, hi = select_rank(items, 3, cnt, presorted=True)
     assert cnt.count == 0
     assert e == items[2] and lo == items[:2] and hi == items[3:]
-
-
-def group_of(*lists):
-    idx = 0
-    blocks = []
-    for vals in lists:
-        blocks.append([WeightItem(v, idx + i) for i, v in enumerate(vals)])
-        idx += len(vals)
-    return RankedGroup.from_weight_lists(blocks)
-
-
-def test_weighted_median_single_block():
-    g = group_of([3, 4])
-    pos, block, lower, upper = weighted_median(g, 0)
-    assert pos == 1 and block[1] == 2 and lower == () and upper == ()
-
-
-def test_weighted_median_splitting_illustration():
-    # internal nodes with multiplicities 4,4,4,4 | 3 | 4,4,4,2,4: the target
-    # of half of 37 leaves lands on the value-8 node with 16 before and 18
-    # after it
-    blocks = [[1] * 4, [1] * 4, [1] * 4, [1] * 4, [2, 2, 4],
-              [2, 2, 3, 4], [3, 3, 3, 3], [3, 3, 3, 4], [7, 7], [4, 4, 4, 5]]
-    g = group_of(*blocks)
-    assert g.total_multiplicity == 37
-    pos, block, lower, upper = weighted_median(g, 37 // 2)
-    assert pos == 5
-    assert sum(len(b[0]) for b in lower) == 16
-    assert sum(len(b[0]) for b in upper) == 18
-    assert sum(it.value for it in block[0]) == 8
-
-
-@given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=12),
-       st.integers(min_value=0, max_value=60))
-@settings(max_examples=200)
-def test_weighted_median_matches_prefix_scan(sizes, raw_target):
-    rng = random.Random(7)
-    g = group_of(*[[rng.randint(1, 9) for _ in range(s)] for s in sizes])
-    total = g.total_multiplicity
-    target = raw_target % (total + 1)
-    pos, block, lower, upper = weighted_median(g, target)
-    # independent linear scan: put aside the longest prefix within target
-    acc = 0
-    expect = len(g.blocks)
-    for i, (_, mult) in enumerate(g.blocks):
-        if acc + mult > target:
-            expect = i + 1
-            break
-        acc += mult
-    assert pos == expect
-    assert len(lower) == pos - 1
-    assert len(upper) == len(g.blocks) - pos
-
-
-def test_weighted_median_target_out_of_range():
-    with pytest.raises(ValueError):
-        weighted_median(group_of([1, 2]), 3)

@@ -139,7 +139,7 @@ def test_t_edges():
         find_t_smallest(0, 2, sl)
 
 
-def _check_state_against_oracle(state, rng):
+def _check_state_against_oracle(state):
     top = max(state)
     top_nodes = materialize(state, top)
     contexts = [top]
@@ -162,16 +162,17 @@ def _check_state_against_oracle(state, rng):
                     sorted(it for nd in nodes[pos:] for it in nd[2])
                 # conservation
                 assert r.lower.n + len(r.chi_weights) + r.upper.n == sl.n
-            t = rng.randint(1, len(nodes))
-            first, rest = find_t_smallest(t, context, sl)
-            assert sorted(first.all_items()) == \
-                sorted(it for nd in nodes[:t] for it in nd[2])
-            assert sorted(rest.all_items()) == \
-                sorted(it for nd in nodes[t:] for it in nd[2])
-            rest2, largest = find_t_largest(t, context, sl)
-            assert sorted(largest.all_items()) == \
-                sorted(it for nd in nodes[len(nodes) - t:] for it in nd[2])
-            assert rest2.n + largest.n == sl.n
+            # every rank reaches each exit of the rank split at some t
+            for t in range(1, len(nodes) + 1):
+                first, rest = find_t_smallest(t, context, sl)
+                assert sorted(first.all_items()) == \
+                    sorted(it for nd in nodes[:t] for it in nd[2])
+                assert sorted(rest.all_items()) == \
+                    sorted(it for nd in nodes[t:] for it in nd[2])
+                rest2, largest = find_t_largest(t, context, sl)
+                assert sorted(largest.all_items()) == \
+                    sorted(it for nd in nodes[len(nodes) - t:] for it in nd[2])
+                assert rest2.n + largest.n == sl.n
 
 
 def test_random_states_match_materialization():
@@ -181,7 +182,7 @@ def test_random_states_match_materialization():
         state = random_level_state(rng)
         if state is None:
             continue
-        _check_state_against_oracle(state, rng)
+        _check_state_against_oracle(state)
         done += 1
 
 
