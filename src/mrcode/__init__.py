@@ -13,9 +13,7 @@ from .selection import select_rank
 from .split import (LeafSlice, SplitResult, add_weights, cut,
                     find_splitting_all, find_splitting_internal,
                     find_t_largest, find_t_smallest, node_count)
-from .construct import (ConstructionMode, PendingPool, assign_level0,
-                        assign_weights_to_level, compute_next_level,
-                        construct_lengths, count_nodes, maintain_kraft)
+from .construct import ConstructionMode, construct_lengths
 from .oracle import brute_force_optimal, huffman_lengths, huffman_sorted_lengths
 from .codec import (CanonicalTable, ContainerFormatError, DecodeError,
                     canonical_codes, decode, encode, pack_container,
@@ -27,14 +25,12 @@ __all__ = [
     "CanonicalTable", "CodeLengthProfile", "ComparisonCounter",
     "ConstructionMode", "ConstructionStats", "ContainerFormatError",
     "DecodeError", "InvalidAssignmentError", "LeafSlice", "LevelState",
-    "LevelTraceEntry", "PendingPool", "SplitResult",
-    "WeightItem", "WeightList", "add_weights", "assign_level0",
-    "assign_weights_to_level", "assignment_from_lengths",
-    "brute_force_optimal", "canonical_codes", "code_cost",
-    "compute_next_level", "construct_lengths", "count_nodes", "cut",
+    "LevelTraceEntry", "SplitResult", "WeightItem", "WeightList",
+    "add_weights", "assignment_from_lengths", "brute_force_optimal",
+    "canonical_codes", "code_cost", "construct_lengths", "cut",
     "decode", "distinct_length_count", "encode",
     "find_splitting_all", "find_splitting_internal", "find_t_largest",
     "find_t_smallest", "huffman_lengths", "huffman_sorted_lengths",
-    "kraft_sum", "maintain_kraft", "monotone", "node_count",
+    "kraft_sum", "monotone", "node_count",
     "pack_container", "select_rank", "unpack_container", "verify_exclusion",
 ]

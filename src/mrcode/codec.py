@@ -11,6 +11,7 @@ final partial byte zero-padded.  The container format is:
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -143,18 +144,34 @@ def pack_container(lengths: Sequence[int], payload: bytes, bit_count: int) -> by
 
 
 def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
-    """Returns (lengths, payload, bit count); raises on malformed input."""
+    """Returns (lengths, payload, bit count).
+
+    Accepts only what `pack_container` writes for a complete code: lengths
+    in 1..max(1, n-1) with Kraft sum 1 (for n >= 2), and a payload of
+    exactly ceil(bits/8) bytes whose pad bits are zero.
+    """
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise ContainerFormatError("bad magic")
     n = struct.unpack_from("<Q", blob, 4)[0]
     off = 12
     if len(blob) < off + 2 * n + 8:
         raise ContainerFormatError("truncated header")
-    lengths = [struct.unpack_from("<H", blob, off + 2 * i)[0] for i in range(n)]
+    if n == 0:
+        raise ContainerFormatError("no codeword lengths")
+    lengths = list(struct.unpack_from(f"<{n}H", blob, off))
+    top = max(lengths)
+    if min(lengths) < 1 or top > max(1, n - 1):
+        raise ContainerFormatError(f"codeword lengths must lie in 1..{max(1, n - 1)}")
+    if n >= 2 and sum(c << (top - l) for l, c in Counter(lengths).items()) != 1 << top:
+        raise ContainerFormatError("codeword lengths do not have Kraft sum 1")
     off += 2 * n
     bit_count = struct.unpack_from("<Q", blob, off)[0]
     off += 8
     payload = blob[off:]
     if bit_count > len(payload) * 8:
         raise ContainerFormatError("payload shorter than the declared bit count")
+    if len(payload) > (bit_count + 7) // 8:
+        raise ContainerFormatError("bytes past the end of the payload")
+    if payload and payload[-1] & (0xFF >> ((bit_count - 1) % 8 + 1)):
+        raise ContainerFormatError("non-zero pad bits")
     return lengths, payload, bit_count

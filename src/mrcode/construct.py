@@ -11,11 +11,12 @@ moving the largest-rank subtrees up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Literal
 
 from .core import (CodeLengthProfile, ComparisonCounter, ConstructionStats,
-                   LevelState, LevelTraceEntry, WeightItem, WeightList)
-from .split import LeafSlice, _Env, _fsa, _rank_split, node_count as _node_count
+                   LevelTraceEntry, WeightItem, WeightList)
+from .split import LeafSlice, _fsa, _rank_split, node_count as _node_count
 
 
 @dataclass(frozen=True)
@@ -28,35 +29,34 @@ class ConstructionMode:
 
 
 class PendingPool:
-    """Weights not yet assigned to a level.
+    """The weights of a construction, as one list and a cursor.
 
+    ``arr[:cur]`` holds the weights assigned to levels (their runs belong
+    to `_Levels`), and ``arr[cur:]`` the weights not yet assigned.
     Unsorted pools scan linearly with counted comparisons.  Presorted pools
-    keep a cursor into the ascending sequence: the minimum is positional and
-    threshold extraction runs an exponential search followed by a binary
-    search, counting each probe.
+    keep the ascending input: the minimum is positional and threshold
+    extraction runs an exponential search followed by a binary search,
+    counting each probe.
     """
 
-    def __init__(self, items, presorted: bool = False,
-                 counter: ComparisonCounter | None = None):
+    def __init__(self, items, presorted: bool, counter: ComparisonCounter):
         self.presorted = presorted
-        self.cnt = counter if counter is not None else ComparisonCounter()
+        self.cnt = counter
         self.arr: list[WeightItem] = list(items)
         self.cur = 0
 
     def __len__(self) -> int:
         return len(self.arr) - self.cur
 
-    def items(self) -> list[WeightItem]:
-        return self.arr[self.cur:]
-
     def min_item(self) -> WeightItem:
         if not len(self):
             raise ValueError("empty pool")
+        arr, c = self.arr, self.cur
         if self.presorted:
-            return self.arr[self.cur]
-        best = self.arr[0]
+            return arr[c]
+        best = arr[c]
         cnt = self.cnt
-        for x in self.arr[1:]:
+        for x in arr[c + 1:]:
             cnt.count += 1
             if x < best:
                 best = x
@@ -65,28 +65,31 @@ class PendingPool:
     def two_smallest(self) -> tuple[WeightItem, WeightItem | None]:
         if not len(self):
             raise ValueError("empty pool")
+        arr, c = self.arr, self.cur
         if self.presorted:
-            second = self.arr[self.cur + 1] if len(self) > 1 else None
-            return self.arr[self.cur], second
-        return _two_smallest(self.arr, self.cnt)
+            return arr[c], arr[c + 1] if len(self) > 1 else None
+        return _two_smallest(arr[c:], self.cnt)
 
-    def take_below(self, bound: int) -> list[WeightItem]:
-        """Remove and return every weight with value strictly below `bound`."""
+    def take_below(self, bound: int) -> int:
+        """Assign every weight with value strictly below `bound`: move them
+        to the front of the pool, keeping their order, and advance the
+        cursor past them.  Returns how many there were."""
         cnt = self.cnt
+        arr, c, n = self.arr, self.cur, len(self.arr)
         if not self.presorted:
             taken = []
             kept = []
-            for x in self.arr:
+            for x in arr[c:]:
                 cnt.count += 1
                 (taken if x[0] < bound else kept).append(x)
-            self.arr = kept
-            return taken
-        arr, c, n = self.arr, self.cur, len(self.arr)
+            arr[c:] = taken + kept
+            self.cur = c + len(taken)
+            return len(taken)
         if c == n:
-            return []
+            return 0
         cnt.count += 1
         if not arr[c][0] < bound:
-            return []
+            return 0
         step = 1
         while c + step < n:
             cnt.count += 1
@@ -103,101 +106,68 @@ class PendingPool:
                 lo = mid + 1
             else:
                 hi = mid
-        taken = arr[c:lo]
         self.cur = lo
-        return taken
-
-
-def _merge_moved(dst: list[WeightItem], moved: list[WeightItem],
-                 cnt: ComparisonCounter) -> list[WeightItem]:
-    """Merge raised weights (all <= dst's values) before an ascending list.
-
-    Only a single boundary value can tie; its run is interleaved by original
-    index.  Costs O(log) counted comparisons, not a full merge.
-    """
-    cnt.count += 1
-    v = moved[-1][0]
-    if v < dst[0][0]:
-        return moved + dst
-    lo, hi = 0, len(moved) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        cnt.count += 1
-        if moved[mid][0] < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    a = lo
-    lo, hi = 0, len(dst)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        cnt.count += 1
-        if dst[mid][0] <= v:
-            lo = mid + 1
-        else:
-            hi = mid
-    b = lo
-    run = sorted(moved[a:] + dst[:b], key=lambda it: it[1])
-    return moved[:a] + run + dst[b:]
+        return lo - c
 
 
 class _Levels:
-    """Mutable leaf assignment; presorted mode keeps levels ascending."""
+    """Leaf assignment as runs of the pool's list.
 
-    def __init__(self, presorted: bool):
-        self.presorted = presorted
-        self.items: dict[int, list[WeightItem]] = {}
-        self._psums: dict[int, list[int] | None] = {}
+    Level ``lv`` holds ``arr[lo:hi]`` for ``runs[lv] = (lo, hi)``; the runs
+    ascend with the level and tile ``arr[:pool.cur]``.  In presorted mode
+    the list never changes, so the weights of each level are a run of the
+    sorted input and `psum`, its prefix sums, is built once.  In unsorted
+    mode a move rewrites the list in place, so a slice stays valid only
+    until the next move or `take_below`.
+    """
 
-    @classmethod
-    def from_state(cls, state: LevelState, presorted: bool) -> "_Levels":
-        lv = cls(presorted)
-        for level, items in state.levels.items():
-            arr = sorted(items) if presorted else list(items)
-            lv.items[level] = arr
-        return lv
+    def __init__(self, pool: PendingPool):
+        self.arr = pool.arr
+        self.psum = [0, *accumulate(it[0] for it in pool.arr)] if pool.presorted else None
+        self.runs: dict[int, tuple[int, int]] = {}
 
     def top(self) -> int:
-        return max(lv for lv, it in self.items.items() if it)
+        return max(self.runs)
 
-    def add(self, level: int, new_items: list[WeightItem]) -> None:
-        if not new_items:
+    def add(self, level: int, count: int) -> None:
+        """The `count` weights after the last run join `level`, which is
+        the top level or above it."""
+        if not count:
             return
-        self.items.setdefault(level, []).extend(new_items)
-        self._psums[level] = None
+        end = max(self.runs.values(), default=(0, 0))[1]
+        lo = self.runs[level][0] if level in self.runs else end
+        self.runs[level] = (lo, end + count)
 
     def slice(self) -> LeafSlice:
-        return LeafSlice.from_arrays(self.items, self.presorted, self._psums)
-
-    def state(self) -> LevelState:
-        return LevelState.from_lists({lv: arr for lv, arr in self.items.items() if arr})
+        return LeafSlice.from_runs(self.arr, self.runs, self.psum)
 
     def snapshot(self) -> dict[int, tuple[WeightItem, ...]]:
-        return {lv: tuple(arr) for lv, arr in self.items.items() if arr}
+        arr = self.arr
+        return {lv: tuple(arr[lo:hi]) for lv, (lo, hi) in sorted(self.runs.items())}
 
-    def apply_move(self, moved: LeafSlice, cnt: ComparisonCounter) -> None:
-        """Raise every weight of `moved` one level."""
+    def apply_move(self, moved: LeafSlice) -> None:
+        """Raise every weight of `moved` one level.
+
+        The weights moved from level ``lv`` end its run and start the run
+        of ``lv + 1``.  Presorted, they are already the top of the run, so
+        only the cut moves.  Unsorted, the region of both runs is rewritten
+        as the kept weights of ``lv``, the run of ``lv + 1``, then the
+        moved weights in `moved`'s order; unsorted selections count
+        comparisons by position, so this order fixes the counts.
+        """
+        arr, runs = self.arr, self.runs
         for lv in reversed(moved.levels()):
-            mv = moved.level_items(lv)
-            src = self.items[lv]
-            if len(mv) == len(src):
-                src = []
-            else:
+            lo, hi = runs.pop(lv)
+            up = runs.pop(lv + 1, None)
+            end = up[1] if up else hi
+            cut = hi - moved.level_count(lv)
+            if self.psum is None:
+                mv = moved.level_items(lv)
                 gone = {it[1] for it in mv}
-                src = [it for it in src if it[1] not in gone]
-            if src:
-                self.items[lv] = src
-            else:
-                self.items.pop(lv, None)
-            self._psums[lv] = None
-            dst = self.items.get(lv + 1)
-            if not dst:
-                self.items[lv + 1] = list(mv)
-            elif self.presorted:
-                self.items[lv + 1] = _merge_moved(dst, mv, cnt)
-            else:
-                dst.extend(mv)
-            self._psums[lv + 1] = None
+                arr[lo:end] = [it for it in arr[lo:hi] if it[1] not in gone] + arr[hi:end] + mv
+            if lo < cut:
+                runs[lv] = (lo, cut)
+            runs[lv + 1] = (cut, end)
 
 
 def _two_smallest(items: list, cnt: ComparisonCounter):
@@ -220,48 +190,46 @@ def _two_smallest(items: list, cnt: ComparisonCounter):
     return a, b
 
 
-def _assign_level0(levels: _Levels, pool: PendingPool, env: _Env) -> int:
+def _assign_level0(levels: _Levels, pool: PendingPool) -> int:
     a, b = pool.two_smallest()
-    bound = a[0] + b[0]
-    taken = pool.take_below(bound)
+    taken = pool.take_below(a[0] + b[0])
     levels.add(0, taken)
-    return len(taken)
+    return taken
 
 
-def _assign_to_level(level: int, levels: _Levels, pool: PendingPool, env: _Env) -> int:
+def _assign_to_level(level: int, levels: _Levels, pool: PendingPool) -> int:
     """Four-candidate threshold: the two smallest nodes already at `level`
     and the two smallest pool weights; everything below the sum of the two
     smallest-rank candidates moves in."""
-    sl = levels.slice()
-    total = _node_count(level, sl)
-    first, rest = _rank_split(level, sl, 1, env)
+    cnt = pool.cnt
+    first, rest = _rank_split(level, levels.slice(), 1, cnt)
     keys = [(first.total_value(), first.min_index())]
-    if total >= 2:
-        second, _ = _rank_split(level, rest, 1, env)
+    if rest.n:
+        second, _ = _rank_split(level, rest, 1, cnt)
         keys.append((second.total_value(), second.min_index()))
     w1, w2 = pool.two_smallest()
     keys.append(w1)
     if w2 is not None:
         keys.append(w2)
-    best, second_key = _two_smallest(keys, env.cnt)
-    bound = best[0] + second_key[0]
-    taken = pool.take_below(bound)
+    best, second_key = _two_smallest(keys, cnt)
+    taken = pool.take_below(best[0] + second_key[0])
     levels.add(level, taken)
-    return len(taken)
+    return taken
 
 
-def _compute_next_level(top: int, levels: _Levels, pool: PendingPool, env: _Env) -> int:
+def _compute_next_level(top: int, levels: _Levels, pool: PendingPool) -> int:
     """Next level that can receive weights: count the longest prefix of
     smallest-rank nodes at `top` whose total value stays within the minimum
     remaining weight, then jump by the floor of its base-2 logarithm."""
     w = pool.min_item()
+    cnt = pool.cnt
     window = levels.slice()
     remaining = w[0]
     absorbed = 0
     while window.n:
-        alpha, chi, o1, o2 = _fsa(top, window, env)
+        alpha, chi, o1, o2 = _fsa(top, window, cnt)
         prefix_value = o1.total_value() + chi.total_value()
-        env.cnt.count += 1
+        cnt.count += 1
         if prefix_value <= remaining:
             remaining -= prefix_value
             absorbed += alpha
@@ -274,28 +242,26 @@ def _compute_next_level(top: int, levels: _Levels, pool: PendingPool, env: _Env)
 
 
 def _maintain_kraft(top: int, next_level: int | None, levels: _Levels,
-                    pool_nonempty: bool, env: _Env) -> int:
+                    cnt: ComparisonCounter) -> int:
     """Move the subtrees of the largest-rank nodes at `top` one level up so
-    the node count divides the span to the next level (or reaches a power
-    of two at the end).  Returns the number of subtrees moved."""
+    the node count divides the span to `next_level` (or, with None at the
+    end, reaches a power of two).  Returns the number of subtrees moved."""
     sl = levels.slice()
     m = _node_count(top, sl)
-    if pool_nonempty:
-        span = 1 << (next_level - top)
-        nu = (-m) % span
+    if next_level is not None:
+        nu = (-m) % (1 << (next_level - top))
     else:
         nu = (1 << (m - 1).bit_length()) - m
     if nu == 0:
         return 0
-    _, moved = _rank_split(top, sl, m - nu, env)
-    levels.apply_move(moved, env.cnt)
+    _, moved = _rank_split(top, sl, m - nu, cnt)
+    levels.apply_move(moved)
     return nu
 
 
-def _finish(levels: _Levels, env: _Env) -> tuple[int, int]:
+def _finish(levels: _Levels, cnt: ComparisonCounter) -> tuple[int, int]:
     """Terminal adjustment; returns (root level, subtrees moved)."""
-    top = levels.top()
-    nu = _maintain_kraft(top, None, levels, False, env)
+    nu = _maintain_kraft(levels.top(), None, levels, cnt)
     top = levels.top()
     m = _node_count(top, levels.slice())
     if m & (m - 1):
@@ -321,12 +287,11 @@ def construct_lengths(weights: WeightList,
         stats = ConstructionStats(0, counter.count, 1, ())
         return CodeLengthProfile((1,)), stats
 
-    env = _Env(weights.sorted_flag, counter)
-    levels = _Levels(weights.sorted_flag)
     pool = PendingPool(weights.items, weights.sorted_flag, counter)
+    levels = _Levels(pool)
     trace: list[LevelTraceEntry] = []
 
-    assigned = _assign_level0(levels, pool, env)
+    assigned = _assign_level0(levels, pool)
     trace.append(LevelTraceEntry(0, assigned, 0))
     iterations = 1
     if iteration_hook:
@@ -341,9 +306,9 @@ def construct_lengths(weights: WeightList,
             if passes > cap:
                 raise AssertionError("construction did not terminate")
             top = levels.top()
-            nxt = _compute_next_level(top, levels, pool, env)
-            pending_moves += _maintain_kraft(top, nxt, levels, True, env)
-            got = _assign_to_level(nxt, levels, pool, env)
+            nxt = _compute_next_level(top, levels, pool)
+            pending_moves += _maintain_kraft(top, nxt, levels, counter)
+            got = _assign_to_level(nxt, levels, pool)
             if got:
                 iterations += 1
                 trace.append(LevelTraceEntry(nxt, got, pending_moves))
@@ -359,10 +324,10 @@ def construct_lengths(weights: WeightList,
             sl = levels.slice()
             m = _node_count(eta, sl)
             if m % 2:
-                _, moved = _rank_split(eta, sl, m - 1, env)
-                levels.apply_move(moved, counter)
+                _, moved = _rank_split(eta, sl, m - 1, counter)
+                levels.apply_move(moved)
                 pending_moves += 1
-            got = _assign_to_level(eta + 1, levels, pool, env)
+            got = _assign_to_level(eta + 1, levels, pool)
             if got:
                 iterations += 1
                 trace.append(LevelTraceEntry(eta + 1, got, pending_moves))
@@ -371,15 +336,16 @@ def construct_lengths(weights: WeightList,
             if iteration_hook:
                 iteration_hook(levels.snapshot())
 
-    root, final_moves = _finish(levels, env)
+    root, final_moves = _finish(levels, counter)
     trace.append(LevelTraceEntry(levels.top(), 0, final_moves))
     if iteration_hook:
         iteration_hook(levels.snapshot())
 
     lengths = [0] * n
-    for lv, arr in levels.items.items():
+    arr = pool.arr
+    for lv, (lo, hi) in levels.runs.items():
         code_len = root - lv
-        for it in arr:
+        for it in arr[lo:hi]:
             lengths[it[1]] = code_len
     profile = CodeLengthProfile(tuple(lengths))
     k = len(set(profile.lengths))
@@ -388,45 +354,3 @@ def construct_lengths(weights: WeightList,
             f"{iterations} assignment iterations exceed twice the {k} distinct lengths")
     stats = ConstructionStats(iterations, counter.count, k, tuple(trace))
     return profile, stats
-
-
-# ------------------------------------------------- step-level public surface
-
-def assign_level0(weights: WeightList,
-                  counter: ComparisonCounter | None = None
-                  ) -> tuple[LevelState, PendingPool]:
-    """Seed level 0: the two smallest weights plus everything below their sum."""
-    if len(weights) < 2:
-        raise ValueError("need at least two weights")
-    cnt = counter if counter is not None else ComparisonCounter()
-    pool = PendingPool(weights.items, weights.sorted_flag, cnt)
-    levels = _Levels(weights.sorted_flag)
-    _assign_level0(levels, pool, _Env(weights.sorted_flag, cnt))
-    return levels.state(), pool
-
-
-def count_nodes(level: int, state: LevelState) -> int:
-    """Nodes (leaves plus implied internals) at `level`, by arithmetic fold."""
-    return _node_count(level, LeafSlice.from_state(state))
-
-
-def compute_next_level(state: LevelState, pool: PendingPool) -> int:
-    levels = _Levels.from_state(state, pool.presorted)
-    return _compute_next_level(levels.top(), levels, pool,
-                               _Env(pool.presorted, pool.cnt))
-
-
-def maintain_kraft(state: LevelState, next_level: int | None,
-                   pool: PendingPool) -> tuple[LevelState, int]:
-    """Returns the adjusted state and the number of subtrees moved up."""
-    levels = _Levels.from_state(state, pool.presorted)
-    nu = _maintain_kraft(levels.top(), next_level, levels, len(pool) > 0,
-                         _Env(pool.presorted, pool.cnt))
-    return levels.state(), nu
-
-
-def assign_weights_to_level(level: int, state: LevelState,
-                            pool: PendingPool) -> tuple[LevelState, int]:
-    levels = _Levels.from_state(state, pool.presorted)
-    got = _assign_to_level(level, levels, pool, _Env(pool.presorted, pool.cnt))
-    return levels.state(), got

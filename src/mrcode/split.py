@@ -23,14 +23,6 @@ from .core import ComparisonCounter, InvalidAssignmentError, LevelState, WeightI
 from .selection import select_rank
 
 
-class _Env:
-    __slots__ = ("presorted", "cnt")
-
-    def __init__(self, presorted, cnt):
-        self.presorted = presorted
-        self.cnt = cnt
-
-
 class LeafSlice:
     """Weights of consecutive-rank nodes, grouped by assigned level.
 
@@ -47,40 +39,34 @@ class LeafSlice:
         self.presorted = presorted
 
     @classmethod
-    def from_arrays(cls, arrays: Mapping[int, list[WeightItem]], presorted: bool,
-                    psums: dict[int, list[int] | None]) -> "LeafSlice":
-        """Slice of whole level arrays, which it shares rather than copies.
-
-        Presorted slices sum through per-level prefix sums.  `psums` keeps
-        them between calls: an entry that is missing, None or no longer
-        one longer than its level is rebuilt here.
-        """
+    def from_runs(cls, arr: list[WeightItem], runs: Mapping[int, tuple[int, int]],
+                  psum: list[int] | None) -> "LeafSlice":
+        """Slice of the runs ``arr[lo:hi]`` per level, which it shares rather
+        than copies.  With `psum`, the prefix sums of `arr`, the slice is
+        presorted and sums by subtraction."""
         segs: dict[int, list[tuple]] = {}
         n = 0
-        for lv, arr in arrays.items():
-            if not arr:
-                continue
-            ps = None
-            if presorted:
-                ps = psums.get(lv)
-                if ps is None or len(ps) != len(arr) + 1:
-                    ps = psums[lv] = [0, *accumulate(it[0] for it in arr)]
-            segs[lv] = [(arr, 0, len(arr), ps)]
-            n += len(arr)
-        return cls(segs, n, presorted)
+        for lv, (lo, hi) in runs.items():
+            if lo < hi:
+                segs[lv] = [(arr, lo, hi, psum)]
+                n += hi - lo
+        return cls(segs, n, psum is not None)
 
     @classmethod
     def from_levels(cls, levels: Mapping[int, Sequence[WeightItem]],
                     presorted: bool = False) -> "LeafSlice":
-        arrays = {}
+        arr: list[WeightItem] = []
+        runs = {}
         for lv in sorted(levels):
             items = list(levels[lv])
             if presorted:
                 for a, b in zip(items, items[1:]):
                     if b < a:
                         raise ValueError(f"level {lv} is not in ascending order")
-            arrays[lv] = items
-        return cls.from_arrays(arrays, presorted, {})
+            runs[lv] = (len(arr), len(arr) + len(items))
+            arr += items
+        psum = [0, *accumulate(it[0] for it in arr)] if presorted else None
+        return cls.from_runs(arr, runs, psum)
 
     @classmethod
     def from_state(cls, state: LevelState, presorted: bool = False) -> "LeafSlice":
@@ -141,22 +127,22 @@ class SplitResult:
     upper: LeafSlice
 
 
-def _empty(env) -> LeafSlice:
-    return LeafSlice({}, 0, env.presorted)
+def _empty(presorted) -> LeafSlice:
+    return LeafSlice({}, 0, presorted)
 
 
-def _of(level, segs, n, env) -> LeafSlice:
+def _of(level, segs, n, presorted) -> LeafSlice:
     """Slice of `n` leaves at `level`; it keeps the list `segs`."""
     if n == 0:
-        return LeafSlice({}, 0, env.presorted)
-    return LeafSlice({level: segs}, n, env.presorted)
+        return LeafSlice({}, 0, presorted)
+    return LeafSlice({level: segs}, n, presorted)
 
 
-def _one(level, item, env) -> LeafSlice:
-    return LeafSlice({level: [((item,), 0, 1, None)]}, 1, env.presorted)
+def _one(level, item, presorted) -> LeafSlice:
+    return LeafSlice({level: [((item,), 0, 1, None)]}, 1, presorted)
 
 
-def _cat(parts: Iterable[LeafSlice], env, level=None, leaf_segs=(), nleaf=0) -> LeafSlice:
+def _cat(parts: Iterable[LeafSlice], presorted, level=None, leaf_segs=(), nleaf=0) -> LeafSlice:
     """Union of the parts, plus `nleaf` weights in `leaf_segs` at `level`,
     which no part holds.  Each level's segments keep the parts' order."""
     segs: dict[int, list[tuple]] = {}
@@ -176,7 +162,7 @@ def _cat(parts: Iterable[LeafSlice], env, level=None, leaf_segs=(), nleaf=0) -> 
         return only  # slices are never mutated, so one part can be shared
     if nleaf:
         segs[level] = leaf_segs
-    return LeafSlice(segs, n, env.presorted)
+    return LeafSlice(segs, n, presorted)
 
 
 def _below(sl: LeafSlice, level: int) -> LeafSlice:
@@ -192,7 +178,7 @@ def _below(sl: LeafSlice, level: int) -> LeafSlice:
     return LeafSlice(segs, n, sl.presorted)
 
 
-def _leaf_select(segs: list[tuple], t: int, env):
+def _leaf_select(segs: list[tuple], t: int, presorted, cnt):
     """t-th smallest leaf of the window; returns (item, lo, hi, nlo, nhi)."""
     total = 0
     for _, lo, hi, _ in segs:
@@ -202,7 +188,7 @@ def _leaf_select(segs: list[tuple], t: int, env):
     if total == 1:
         arr, lo, _, _ = segs[0]
         return arr[lo], [], [], 0, 0
-    if env.presorted:
+    if presorted:
         acc = 0
         for i, (arr, lo, hi, ps) in enumerate(segs):
             ln = hi - lo
@@ -223,7 +209,7 @@ def _leaf_select(segs: list[tuple], t: int, env):
         flat = []
         for arr, lo, hi, _ in segs:
             flat += arr[lo:hi]
-    item, lows, highs = select_rank(flat, t, env.cnt)
+    item, lows, highs = select_rank(flat, t, cnt)
     nlo = len(lows)
     nhi = total - 1 - nlo
     return (item, [(lows, 0, nlo, None)] if nlo else [],
@@ -258,7 +244,8 @@ def node_count(level: int, sl: LeafSlice) -> int:
     return m >> gap
 
 
-def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None, env: _Env):
+def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None,
+            cnt: ComparisonCounter):
     """Node at `level` preceded by smaller-rank nodes of total size `s1`.
 
     A node's size is its number of weights, so with s1 = n // 2 this finds
@@ -280,15 +267,19 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None, env: _Env):
     if sl.n == 0:
         raise ValueError("empty slice")
     rank = nodes is not None
+    presorted = sl.presorted
     wsegs = sl.segs.get(level, ())
     if wsegs and len(sl.segs) == 1:
         # leaves only: the lower median, without narrowing to s1, or the
         # leaf of rank s1
-        mid, lo, hi, nlo, nhi = _leaf_select(wsegs, s1 if rank else (sl.n + 1) // 2, env)
+        mid, lo, hi, nlo, nhi = _leaf_select(wsegs, s1 if rank else (sl.n + 1) // 2,
+                                             presorted, cnt)
         if rank:
             lo.append(((mid,), 0, 1, None))
-            return nlo + 1, None, _of(level, lo, nlo + 1, env), _of(level, hi, nhi, env)
-        return nlo + 1, _one(level, mid, env), _of(level, lo, nlo, env), _of(level, hi, nhi, env)
+            return (nlo + 1, None, _of(level, lo, nlo + 1, presorted),
+                    _of(level, hi, nhi, presorted))
+        return (nlo + 1, _one(level, mid, presorted), _of(level, lo, nlo, presorted),
+                _of(level, hi, nhi, presorted))
     wbelow = _below(sl, level)
     nleaf = sl.n - wbelow.n
 
@@ -308,15 +299,15 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None, env: _Env):
         if rank and (s1 == 0 or not wbelow.n or not nleaf):
             break  # a rank split ends without narrowing; see below
         if nleaf and mid is None:
-            mid, lo, hi, nlo, nhi = _leaf_select(wsegs, (nleaf + 1) // 2, env)
+            mid, lo, hi, nlo, nhi = _leaf_select(wsegs, (nleaf + 1) // 2, presorted, cnt)
         if wbelow.n and chi is None:
-            p, chi, p1, p2 = _fsi(level, wbelow, env)
+            p, chi, p1, p2 = _fsi(level, wbelow, cnt)
             chi_val = chi.total_value()
             c1, c, c2 = (p - 1, 1, q - p) if rank else (p1.n, chi.n, p2.n)
         if nleaf and wbelow.n:
             # one counted comparison; a value tie falls back to the
             # smallest original index
-            env.cnt.count += 1
+            cnt.count += 1
             if mid[0] != chi_val:
                 above = mid[0] > chi_val
             else:
@@ -372,7 +363,7 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None, env: _Env):
             nlower += nlo
             nupper += nhi
             pos += nlo
-            chi = _one(level, mid, env)
+            chi = _one(level, mid, presorted)
         else:
             lower.append(p1)
             upper.append(p2)
@@ -383,7 +374,7 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None, env: _Env):
         nupper += nleaf
     elif not wbelow.n:
         # leaves only: select rank s1 directly, with no median first
-        mid, lo, hi, nlo, nhi = _leaf_select(wsegs, s1, env)
+        mid, lo, hi, nlo, nhi = _leaf_select(wsegs, s1, presorted, cnt)
         lo_leaves += lo
         lo_leaves.append(((mid,), 0, 1, None))
         hi_leaves.append(hi)
@@ -392,21 +383,21 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None, env: _Env):
     else:
         # internal nodes only: each is 2^gap nodes one leaf level down
         h = max(wbelow.segs)
-        first, rest = _rank_split(h, wbelow, s1 << (level - h), env)
+        first, rest = _rank_split(h, wbelow, s1 << (level - h), cnt)
         lower.append(first)
         upper.append(rest)
     if nupper:
         hi_leaves = [seg for run in reversed(hi_leaves) for seg in run]
-    return (pos, chi, _cat(lower, env, level, lo_leaves, nlower),
-            _cat(reversed(upper), env, level, hi_leaves, nupper))
+    return (pos, chi, _cat(lower, presorted, level, lo_leaves, nlower),
+            _cat(reversed(upper), presorted, level, hi_leaves, nupper))
 
 
-def _fsa(level: int, sl: LeafSlice, env: _Env):
+def _fsa(level: int, sl: LeafSlice, cnt: ComparisonCounter):
     """Splitting node among all nodes at `level`; (pos, chi, lower, upper)."""
-    return _locate(level, sl, sl.n // 2, None, env)
+    return _locate(level, sl, sl.n // 2, None, cnt)
 
 
-def _fsi(level: int, sl: LeafSlice, env: _Env):
+def _fsi(level: int, sl: LeafSlice, cnt: ComparisonCounter):
     """Splitting node of the internal nodes at `level`, whose leaves are `sl`.
 
     Locates the splitting node one leaf level down, then widens it to the
@@ -418,32 +409,32 @@ def _fsi(level: int, sl: LeafSlice, env: _Env):
     h = max(sl.segs)
     if h >= level:
         raise InvalidAssignmentError(f"slice holds weights at or above level {level}")
-    alpha, chi, o1, o2 = _fsa(h, sl, env)
+    alpha, chi, o1, o2 = _fsa(h, sl, cnt)
     span = 1 << (level - h)
     off = (alpha - 1) & (span - 1)
     parts = [chi]
     if off:  # o1 holds the alpha - 1 nodes before the chosen one
-        o1, below = _rank_split(h, o1, alpha - 1 - off, env)
+        o1, below = _rank_split(h, o1, alpha - 1 - off, cnt)
         parts.insert(0, below)
     rest = span - off - 1
     if rest:
-        above, o2 = _rank_split(h, o2, rest, env)
+        above, o2 = _rank_split(h, o2, rest, cnt)
         parts.append(above)
     if len(parts) > 1:
-        chi = _cat(parts, env)
+        chi = _cat(parts, sl.presorted)
     return -(-alpha // span), chi, o1, o2
 
 
-def _rank_split(level: int, sl: LeafSlice, t: int, env: _Env):
+def _rank_split(level: int, sl: LeafSlice, t: int, cnt: ComparisonCounter):
     """Split the slice's nodes at `level` after the t-th smallest rank."""
     if t == 0:
-        return _empty(env), sl
+        return _empty(sl.presorted), sl
     total = node_count(level, sl)
     if t == total:
-        return sl, _empty(env)
+        return sl, _empty(sl.presorted)
     if not 0 < t < total:
         raise ValueError(f"rank {t} out of range 1..{total}")
-    _, _, first, rest = _locate(level, sl, t, total, env)
+    _, _, first, rest = _locate(level, sl, t, total, cnt)
     return first, rest
 
 
@@ -462,15 +453,10 @@ def cut(level: int, sl: LeafSlice) -> tuple[list[WeightItem], LeafSlice]:
     return sl.level_items(level), below
 
 
-def _env_for(sl: LeafSlice, counter: ComparisonCounter | None) -> _Env:
-    return _Env(sl.presorted, counter if counter is not None else ComparisonCounter())
-
-
 def find_splitting_all(level: int, sl: LeafSlice,
                        counter: ComparisonCounter | None = None) -> SplitResult:
     """Splitting node among all nodes (leaves and internals) at `level`."""
-    env = _env_for(sl, counter)
-    pos, chi, lower, upper = _fsa(level, sl, env)
+    pos, chi, lower, upper = _fsa(level, sl, counter or ComparisonCounter())
     return SplitResult(pos, tuple(sorted(chi.all_items(), key=lambda it: it[1])),
                        lower, upper)
 
@@ -478,8 +464,7 @@ def find_splitting_all(level: int, sl: LeafSlice,
 def find_splitting_internal(level: int, sl: LeafSlice,
                             counter: ComparisonCounter | None = None) -> SplitResult:
     """Splitting node of the internal nodes at `level`; `sl` holds their leaves."""
-    env = _env_for(sl, counter)
-    pos, chi, lower, upper = _fsi(level, sl, env)
+    pos, chi, lower, upper = _fsi(level, sl, counter or ComparisonCounter())
     return SplitResult(pos, tuple(sorted(chi.all_items(), key=lambda it: it[1])),
                        lower, upper)
 
@@ -490,8 +475,7 @@ def find_t_smallest(t: int, level: int, sl: LeafSlice,
     total = node_count(level, sl)
     if not 1 <= t <= total:
         raise ValueError(f"t={t} out of range 1..{total}")
-    env = _env_for(sl, counter)
-    return _rank_split(level, sl, t, env)
+    return _rank_split(level, sl, t, counter or ComparisonCounter())
 
 
 def find_t_largest(t: int, level: int, sl: LeafSlice,
@@ -500,5 +484,4 @@ def find_t_largest(t: int, level: int, sl: LeafSlice,
     total = node_count(level, sl)
     if not 1 <= t <= total:
         raise ValueError(f"t={t} out of range 1..{total}")
-    env = _env_for(sl, counter)
-    return _rank_split(level, sl, total - t, env)
+    return _rank_split(level, sl, total - t, counter or ComparisonCounter())

@@ -123,3 +123,71 @@ def test_container_rejects_garbage():
     good = pack_container([1, 1], b"\x80", 2)
     with pytest.raises(ContainerFormatError):
         unpack_container(good[:-1] + b"")  # drops payload below bit count
+
+
+def _valid_container():
+    lengths = [2, 1, 2]
+    payload, bits = encode([0, 1, 2, 1], canonical_codes(CodeLengthProfile(tuple(lengths))))
+    assert bits % 8  # leaves pad bits in the last byte
+    return lengths, payload, bits
+
+
+def test_container_rejects_trailing_bytes():
+    lengths, payload, bits = _valid_container()
+    with pytest.raises(ContainerFormatError):
+        unpack_container(pack_container(lengths, payload, bits) + b"xyz")
+    with pytest.raises(ContainerFormatError):
+        unpack_container(pack_container([1, 1], b"", 0) + b"\x00")
+
+
+def test_container_rejects_nonzero_pad_bits():
+    lengths, payload, bits = _valid_container()
+    padded = payload[:-1] + bytes([payload[-1] | 1])
+    with pytest.raises(ContainerFormatError):
+        unpack_container(pack_container(lengths, padded, bits))
+    with pytest.raises(ContainerFormatError):
+        unpack_container(pack_container([1, 1], b"\x81", 2))
+
+
+def test_container_rejects_length_out_of_range():
+    for lengths in ([0, 1], [1, 0, 2], [1, 2, 3], [2], [60000]):
+        with pytest.raises(ContainerFormatError):
+            unpack_container(pack_container(lengths, b"", 0))
+    with pytest.raises(ContainerFormatError):
+        unpack_container(pack_container([], b"", 0))
+
+
+def test_container_rejects_kraft_sum_not_one():
+    for lengths in ([2, 2, 2], [1, 1, 2], [1, 2, 3, 3, 3]):
+        with pytest.raises(ContainerFormatError):
+            unpack_container(pack_container(lengths, b"", 0))
+    assert unpack_container(pack_container([1], b"", 0)) == ([1], b"", 0)
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**30),
+       st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=0, max_value=255)),
+                max_size=4),
+       st.integers(min_value=-3, max_value=3))
+@settings(max_examples=300, deadline=None)
+def test_mutated_containers_decode_or_raise_typed_errors(n, seed, edits, resize):
+    rng = random.Random(seed)
+    w = WeightList.from_values([rng.randint(1, 50) for _ in range(n)])
+    profile = huffman_lengths(w) if n > 1 else CodeLengthProfile((1,))
+    message = [rng.randrange(n) for _ in range(rng.randint(0, 20))]
+    payload, bits = encode(message, canonical_codes(profile))
+    blob = bytearray(pack_container(profile.lengths, payload, bits))
+    for pos, byte in edits:
+        blob[pos % len(blob)] = byte
+    if resize < 0:
+        del blob[resize:]
+    else:
+        blob += bytes(resize)
+    try:
+        lengths, got_payload, got_bits = unpack_container(bytes(blob))
+        decoded = decode(got_payload, got_bits,
+                         canonical_codes(CodeLengthProfile(tuple(lengths))))
+    except (ContainerFormatError, DecodeError):
+        return
+    assert all(0 <= s < len(lengths) for s in decoded)
+    if bytes(blob) == pack_container(profile.lengths, payload, bits):
+        assert decoded == message

@@ -3,12 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrcode import (ComparisonCounter, ConstructionMode, LevelState,
-                    PendingPool, WeightList, assign_level0,
-                    assign_weights_to_level, assignment_from_lengths,
-                    code_cost, compute_next_level, construct_lengths,
-                    count_nodes, huffman_lengths, kraft_sum, maintain_kraft,
-                    monotone, verify_exclusion)
+from mrcode import (ComparisonCounter, ConstructionMode, LeafSlice, LevelState,
+                    WeightList, assignment_from_lengths, code_cost,
+                    construct_lengths, huffman_lengths, kraft_sum, monotone,
+                    node_count, verify_exclusion)
+from mrcode.construct import PendingPool
 from oracles import WORKED_COST, WORKED_LENGTH_COUNTS, WORKED_VALUES
 
 DETAILED = ConstructionMode("detailed")
@@ -19,26 +18,48 @@ def worked_weights():
     return WeightList.from_values(WORKED_VALUES)
 
 
+def snapshot_runs(values):
+    """(weights, snapshots, stats) for both drivers, on the input as given
+    and on its sorted copy.  Snapshots are taken after level 0, after every
+    pass and after the terminal adjustment."""
+    w = WeightList.from_values(values)
+    for weights in (w, w.sorted_copy()):
+        for mode in (DETAILED, BASIC):
+            snaps = []
+            _, stats = construct_lengths(weights, mode, iteration_hook=snaps.append)
+            yield weights, snaps, stats
+
+
+def values_at(snap, level):
+    return sorted(it.value for it in snap.get(level, ()))
+
+
+def pool_values(weights, snap):
+    """Values of the weights that the snapshot has not assigned yet."""
+    assigned = {it.index for items in snap.values() for it in items}
+    return sorted(it.value for it in weights.items if it.index not in assigned)
+
+
 # ----------------------------------------------------------- level-0 seeding
 
 def test_assign_level0_worked_example():
-    state, pool = assign_level0(worked_weights())
-    assert state.leaf_count(0) == 20
-    assert sorted(it.value for it in state.levels[0]) == [2] * 10 + [3] * 10
-    assert len(pool) == 10
+    for w, snaps, stats in snapshot_runs(WORKED_VALUES):
+        assert stats.trace[0] == (0, 20, 0)
+        assert values_at(snaps[0], 0) == [2] * 10 + [3] * 10
+        assert len(pool_values(w, snaps[0])) == 10
 
 
 def test_assign_level0_pair_only():
-    state, pool = assign_level0(WeightList.from_values([5, 5]))
-    assert state.leaf_count(0) == 2 and len(pool) == 0
+    for w, snaps, stats in snapshot_runs([5, 5]):
+        assert stats.trace[0] == (0, 2, 0)
+        assert len(snaps[0][0]) == 2 and pool_values(w, snaps[0]) == []
 
 
 def test_assign_level0_strict_threshold():
     # bound is 3; the 3 stays behind
-    state, pool = assign_level0(WeightList.from_values([1, 2, 3, 100],
-                                                       sorted_flag=True))
-    assert [it.value for it in state.levels[0]] == [1, 2]
-    assert [it.value for it in pool.items()] == [3, 100]
+    for w, snaps, _ in snapshot_runs([1, 2, 3, 100]):
+        assert values_at(snaps[0], 0) == [1, 2]
+        assert pool_values(w, snaps[0]) == [3, 100]
 
 
 # ------------------------------------------------------------- node counting
@@ -59,16 +80,16 @@ def worked_state_level2():
 
 def test_count_nodes_worked_example():
     w = worked_weights().items
-    assert count_nodes(0, LevelState.from_lists({0: w[0:20]})) == 20
-    assert count_nodes(1, worked_state_level1()) == 15
-    assert count_nodes(2, worked_state_level2()) == 13
+    assert node_count(0, LeafSlice.from_state(LevelState.from_lists({0: w[0:20]}))) == 20
+    assert node_count(1, LeafSlice.from_state(worked_state_level1())) == 15
+    assert node_count(2, LeafSlice.from_state(worked_state_level2())) == 13
 
 
 # --------------------------------------------------------------- next level
 
 def test_compute_next_level_worked_example():
-    state, pool = assign_level0(worked_weights())
-    assert compute_next_level(state, pool) == 1
+    for _, _, stats in snapshot_runs(WORKED_VALUES):
+        assert stats.trace[1].level == 1
 
 
 def test_compute_next_level_skips_to_log_n():
@@ -92,66 +113,58 @@ def test_equal_weights_never_reach_the_search():
 # ------------------------------------------------------------- Kraft fix-ups
 
 def test_maintain_kraft_worked_example_parity():
-    state = worked_state_level1()
-    pool = PendingPool([it for it in worked_weights().items if it.value == 9])
-    new_state, moved = maintain_kraft(state, 2, pool)
-    assert moved == 1
-    assert sorted(it.value for it in new_state.levels[1]) == [3, 3, 5, 5, 5, 5, 5]
-    assert new_state.leaf_count(0) == 18
+    # level 1 holds 15 nodes before the pass to level 2: one subtree, the
+    # pair of 3s, moves up
+    for _, snaps, stats in snapshot_runs(WORKED_VALUES):
+        assert values_at(snaps[1], 1) == [5] * 5 and len(snaps[1][0]) == 20
+        assert stats.trace[2].moved == 1
+        assert values_at(snaps[2], 1) == [3, 3, 5, 5, 5, 5, 5]
+        assert len(snaps[2][0]) == 18
 
 
 def test_maintain_kraft_terminal_power_of_two():
-    state = worked_state_level2()
-    pool = PendingPool([])
-    new_state, moved = maintain_kraft(state, None, pool)
-    assert moved == 3
-    by_level = {lv: sorted(it.value for it in items)
-                for lv, items in new_state.levels.items()}
-    assert by_level[0] == [2] * 10
-    assert by_level[1] == [3] * 10 + [5] * 3
-    assert by_level[2] == [5, 5, 9, 9, 9, 9, 9]
+    for _, snaps, stats in snapshot_runs(WORKED_VALUES):
+        before = {lv: values_at(snaps[-2], lv) for lv in snaps[-2]}
+        assert before == {lv: sorted(it.value for it in items)
+                          for lv, items in worked_state_level2().levels.items()}
+        assert len(stats.trace) == 4 and stats.trace[-1] == (2, 0, 3)
+        assert values_at(snaps[-1], 0) == [2] * 10
+        assert values_at(snaps[-1], 1) == [3] * 10 + [5] * 3
+        assert values_at(snaps[-1], 2) == [5, 5, 9, 9, 9, 9, 9]
 
 
 def test_maintain_kraft_noop_when_count_divides():
-    w = WeightList.from_values([1, 1, 1, 1, 9])
-    state, pool = assign_level0(w)
-    assert state.leaf_count(0) == 4
-    new_state, moved = maintain_kraft(state, 2, pool)  # span 4 divides 4
-    assert moved == 0
-    assert new_state.levels == state.levels
+    # four leaves at level 0 and one weight left: span 4 divides 4
+    for _, snaps, stats in snapshot_runs([1, 1, 1, 1, 9]):
+        assert len(snaps[0][0]) == 4
+        assert stats.trace[1] == (2, 1, 0)
+        assert all(snap[0] == snaps[0][0] for snap in snaps[:-1])
 
 
 # ------------------------------------------------------- four-candidate rule
 
 def test_assign_weights_worked_level1():
-    state, pool = assign_level0(worked_weights())
-    new_state, got = assign_weights_to_level(1, state, pool)
-    assert got == 5
-    assert sorted(it.value for it in new_state.levels[1]) == [5] * 5
+    for _, snaps, stats in snapshot_runs(WORKED_VALUES):
+        assert stats.trace[1] == (1, 5, 0)
+        assert values_at(snaps[1], 1) == [5] * 5
 
 
 def test_assign_weights_worked_level2():
-    state = LevelState.from_lists({
-        0: worked_state_level2().levels[0],
-        1: worked_state_level2().levels[1],
-    })
-    pool = PendingPool([it for it in worked_weights().items if it.value == 9])
-    new_state, got = assign_weights_to_level(2, state, pool)
-    assert got == 5
-    assert sorted(it.value for it in new_state.levels[2]) == [9] * 5
+    for _, snaps, stats in snapshot_runs(WORKED_VALUES):
+        assert (stats.trace[2].level, stats.trace[2].assigned) == (2, 5)
+        assert values_at(snaps[2], 2) == [9] * 5
 
 
 def test_assign_weights_pool_pair_rule():
     # both internal candidates exceed the pool pair, so the pair's own sum
     # admits at least the two pool weights
-    w = WeightList.from_values([40, 41, 1, 2, 100])
-    state, pool = assign_level0(w)
-    assert state.leaf_count(0) == 2
-    nxt = compute_next_level(state, pool)
-    state, _ = maintain_kraft(state, nxt, pool)
-    new_state, got = assign_weights_to_level(nxt, state, pool)
-    assert got >= 2
-    assert {it.value for it in new_state.levels[nxt]} >= {40, 41}
+    for _, snaps, stats in snapshot_runs([40, 41, 1, 2, 100]):
+        assert len(snaps[0][0]) == 2
+        first = stats.trace[1]
+        assert first.assigned >= 2
+        # the snapshot of the pass that made this assignment
+        snap = next(sn for sn in snaps if sum(map(len, sn.values())) > 2)
+        assert set(values_at(snap, first.level)) >= {40, 41}
 
 
 # -------------------------------------------------------------- full driver
@@ -209,8 +222,8 @@ def test_comparison_counting_toggle():
 
 
 @pytest.mark.parametrize("algo, presorted, expected", [
-    ("detailed", False, 543), ("detailed", True, 76),
-    ("basic", False, 414), ("basic", True, 63),
+    ("detailed", False, 543), ("detailed", True, 68),
+    ("basic", False, 414), ("basic", True, 55),
 ])
 def test_worked_example_comparison_counts(algo, presorted, expected):
     # exact counts: a change that lowers them updates these pins and
@@ -308,6 +321,25 @@ def test_length_class_occupies_two_adjacent_levels():
                     assert order[b] - order[a] == 1
 
 
+def test_presorted_levels_are_runs_of_the_input():
+    # exclusion and monotonicity make each level of a presorted construction
+    # one run of consecutive input positions, and the runs ascend with the
+    # level from position 0: the level state is a list of cut points
+    rng = random.Random(66)
+    for _ in range(150):
+        values = sorted(_random_values(rng, n_max=60, v_max=rng.choice([3, 50, 10**6])))
+        w = WeightList.from_values(values, sorted_flag=True)
+        for mode in (DETAILED, BASIC):
+            snapshots = []
+            construct_lengths(w, mode, iteration_hook=snapshots.append)
+            for snap in snapshots:
+                nxt = 0
+                for lv in sorted(snap):
+                    positions = [it.index for it in snap[lv]]
+                    assert sorted(positions) == list(range(nxt, nxt + len(positions)))
+                    nxt += len(positions)
+
+
 @pytest.mark.parametrize("values,expected", [
     # the remaining weight exactly equals the sum of the two smallest nodes,
     # so the level search must treat the tie as absorbable
@@ -358,8 +390,8 @@ def test_pool_counted_scans():
     assert cnt.count == 3
     a, b = pool.two_smallest()
     assert (a.value, b.value) == (1, 2)
-    taken = pool.take_below(3)
-    assert sorted(it.value for it in taken) == [1, 2]
+    assert pool.take_below(3) == 2
+    assert sorted(it.value for it in pool.arr[:pool.cur]) == [1, 2]
     assert len(pool) == 2
 
 
@@ -369,7 +401,6 @@ def test_pool_sorted_cursor_is_cheap():
     pool = PendingPool(items, True, cnt)
     assert pool.min_item().value == 1
     assert cnt.count == 0
-    taken = pool.take_below(51)
-    assert len(taken) == 50 and len(pool) == 50
+    assert pool.take_below(51) == 50 and len(pool) == 50
     # exponential plus binary search probes stay logarithmic
     assert cnt.count <= 16
