@@ -13,10 +13,9 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import CodeLengthProfile, kraft_sum
+from .core import CodeLengthProfile
 
 MAGIC = b"PFX1"
 
@@ -50,29 +49,27 @@ class CanonicalTable:
 def canonical_codes(lengths: CodeLengthProfile) -> CanonicalTable:
     """Assign canonical codewords to a length profile.
 
-    Symbols sorted by (length, index) get consecutive integer codes; the
+    Symbols in (length, index) order get consecutive integer codes; the
     first code of each length is (first + count of the previous length)
     shifted left once.  Requires a Kraft sum of at most 1.
     """
-    if kraft_sum(lengths) > Fraction(1):
-        raise ValueError("lengths oversubscribe the code space (Kraft sum > 1)")
     ls = lengths.lengths
     top = max(ls)
-    counts = [0] * (top + 1)
-    for l in ls:
-        counts[l] += 1
+    by_rank: list[list[int]] = [[] for _ in range(top + 1)]
+    for sym, l in enumerate(ls):
+        by_rank[l].append(sym)
+    counts = [len(b) for b in by_rank]
+    if sum(c << (top - l) for l, c in enumerate(counts)) > 1 << top:
+        raise ValueError("lengths oversubscribe the code space (Kraft sum > 1)")
     first = [0] * (top + 1)
+    codes = [0] * len(ls)
     code = 0
     for l in range(1, top + 1):
         first[l] = code
-        code = (code + counts[l]) << 1
-    by_rank: list[list[int]] = [[] for _ in range(top + 1)]
-    for sym in sorted(range(len(ls)), key=lambda s: (ls[s], s)):
-        by_rank[ls[sym]].append(sym)
-    codes = [0] * len(ls)
-    for l in range(1, top + 1):
-        for offset, sym in enumerate(by_rank[l]):
-            codes[sym] = first[l] + offset
+        for sym in by_rank[l]:
+            codes[sym] = code
+            code += 1
+        code <<= 1
     return CanonicalTable(tuple(ls), tuple(codes), tuple(first),
                           tuple(counts), tuple(tuple(b) for b in by_rank))
 
@@ -135,9 +132,7 @@ def decode(payload: bytes, bit_count: int, table: CanonicalTable) -> list[int]:
 
 def pack_container(lengths: Sequence[int], payload: bytes, bit_count: int) -> bytes:
     out = bytearray(MAGIC)
-    out += struct.pack("<Q", len(lengths))
-    for l in lengths:
-        out += struct.pack("<H", l)
+    out += struct.pack(f"<Q{len(lengths)}H", len(lengths), *lengths)
     out += struct.pack("<Q", bit_count)
     out += payload
     return bytes(out)

@@ -16,7 +16,7 @@ from typing import Callable, Literal
 
 from .core import (CodeLengthProfile, ComparisonCounter, ConstructionStats,
                    LevelTraceEntry, WeightItem, WeightList)
-from .split import LeafSlice, _fsa, _rank_split, node_count as _node_count
+from .split import LeafSlice, Store, _fsa, _rank_split, node_count as _node_count
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,10 @@ class PendingPool:
 
     ``arr[:cur]`` holds the weights assigned to levels (their runs belong
     to `_Levels`), and ``arr[cur:]`` the weights not yet assigned.
-    Unsorted pools scan linearly with counted comparisons.  Presorted pools
-    keep the ascending input: the minimum is positional and threshold
-    extraction runs an exponential search followed by a binary search,
-    counting each probe.
+    Unsorted pools find their two smallest by one counted scan, kept until
+    `take_below` assigns a weight.  Presorted pools keep the ascending
+    input: the minimum is positional and threshold extraction runs an
+    exponential search followed by a binary search, counting each probe.
     """
 
     def __init__(self, items, presorted: bool, counter: ComparisonCounter):
@@ -44,23 +44,13 @@ class PendingPool:
         self.cnt = counter
         self.arr: list[WeightItem] = list(items)
         self.cur = 0
+        self.two = None  # unsorted: the two smallest of arr[cur:], once scanned
 
     def __len__(self) -> int:
         return len(self.arr) - self.cur
 
     def min_item(self) -> WeightItem:
-        if not len(self):
-            raise ValueError("empty pool")
-        arr, c = self.arr, self.cur
-        if self.presorted:
-            return arr[c]
-        best = arr[c]
-        cnt = self.cnt
-        for x in arr[c + 1:]:
-            cnt.count += 1
-            if x < best:
-                best = x
-        return best
+        return self.two_smallest()[0]
 
     def two_smallest(self) -> tuple[WeightItem, WeightItem | None]:
         if not len(self):
@@ -68,7 +58,9 @@ class PendingPool:
         arr, c = self.arr, self.cur
         if self.presorted:
             return arr[c], arr[c + 1] if len(self) > 1 else None
-        return _two_smallest(arr[c:], self.cnt)
+        if self.two is None:
+            self.two = _two_smallest(arr[c:], self.cnt)
+        return self.two
 
     def take_below(self, bound: int) -> int:
         """Assign every weight with value strictly below `bound`: move them
@@ -82,8 +74,10 @@ class PendingPool:
             for x in arr[c:]:
                 cnt.count += 1
                 (taken if x[0] < bound else kept).append(x)
-            arr[c:] = taken + kept
-            self.cur = c + len(taken)
+            if taken:
+                arr[c:] = taken + kept
+                self.cur = c + len(taken)
+                self.two = None
             return len(taken)
         if c == n:
             return 0
@@ -110,64 +104,65 @@ class PendingPool:
         return lo - c
 
 
-class _Levels:
+class _Levels(Store):
     """Leaf assignment as runs of the pool's list.
 
     Level ``lv`` holds ``arr[lo:hi]`` for ``runs[lv] = (lo, hi)``; the runs
     ascend with the level and tile ``arr[:pool.cur]``.  In presorted mode
     the list never changes, so the weights of each level are a run of the
     sorted input and `psum`, its prefix sums, is built once.  In unsorted
-    mode a move rewrites the list in place, so a slice stays valid only
-    until the next move or `take_below`.
+    mode selections reorder a run in place, keeping every range's weights.
+    Changing the runs clears the query memo.
     """
 
+    __slots__ = ("runs",)
+
     def __init__(self, pool: PendingPool):
-        self.arr = pool.arr
-        self.psum = [0, *accumulate(it[0] for it in pool.arr)] if pool.presorted else None
+        super().__init__(pool.arr, [0, *accumulate(it[0] for it in pool.arr)]
+                         if pool.presorted else None)
         self.runs: dict[int, tuple[int, int]] = {}
 
     def top(self) -> int:
-        return max(self.runs)
+        return next(reversed(self.runs))
 
     def add(self, level: int, count: int) -> None:
         """The `count` weights after the last run join `level`, which is
         the top level or above it."""
         if not count:
             return
-        end = max(self.runs.values(), default=(0, 0))[1]
-        lo = self.runs[level][0] if level in self.runs else end
-        self.runs[level] = (lo, end + count)
+        self.memo.clear()
+        runs = self.runs
+        end = runs[self.top()][1] if runs else 0
+        lo = runs[level][0] if level in runs else end
+        runs[level] = (lo, end + count)
 
     def slice(self) -> LeafSlice:
-        return LeafSlice.from_runs(self.arr, self.runs, self.psum)
+        runs = self.runs
+        return LeafSlice(self, dict(runs), runs[self.top()][1])
 
     def snapshot(self) -> dict[int, tuple[WeightItem, ...]]:
         arr = self.arr
-        return {lv: tuple(arr[lo:hi]) for lv, (lo, hi) in sorted(self.runs.items())}
+        return {lv: tuple(sorted(arr[lo:hi])) for lv, (lo, hi) in self.runs.items()}
 
     def apply_move(self, moved: LeafSlice) -> None:
         """Raise every weight of `moved` one level.
 
-        The weights moved from level ``lv`` end its run and start the run
-        of ``lv + 1``.  Presorted, they are already the top of the run, so
-        only the cut moves.  Unsorted, the region of both runs is rewritten
-        as the kept weights of ``lv``, the run of ``lv + 1``, then the
-        moved weights in `moved`'s order; unsorted selections count
-        comparisons by position, so this order fixes the counts.
+        The weights moved from level ``lv`` are its largest-rank leaves, so
+        they end its run; they start the run of ``lv + 1``, and only the
+        cut between the two runs moves.
         """
-        arr, runs = self.arr, self.runs
-        for lv in reversed(moved.levels()):
+        self.memo.clear()
+        runs = self.runs
+        for lv in sorted(moved.runs, reverse=True):
+            cut, end = moved.runs[lv]
             lo, hi = runs.pop(lv)
+            if end != hi:
+                raise AssertionError(f"moved weights do not end the run of level {lv}")
             up = runs.pop(lv + 1, None)
-            end = up[1] if up else hi
-            cut = hi - moved.level_count(lv)
-            if self.psum is None:
-                mv = moved.level_items(lv)
-                gone = {it[1] for it in mv}
-                arr[lo:end] = [it for it in arr[lo:hi] if it[1] not in gone] + arr[hi:end] + mv
             if lo < cut:
                 runs[lv] = (lo, cut)
-            runs[lv + 1] = (cut, end)
+            runs[lv + 1] = (cut, up[1] if up else hi)
+        self.runs = dict(sorted(runs.items()))
 
 
 def _two_smallest(items: list, cnt: ComparisonCounter):
@@ -254,7 +249,7 @@ def _maintain_kraft(top: int, next_level: int | None, levels: _Levels,
         nu = (1 << (m - 1).bit_length()) - m
     if nu == 0:
         return 0
-    _, moved = _rank_split(top, sl, m - nu, cnt)
+    _, moved = _rank_split(top, sl, m - nu, cnt, m)
     levels.apply_move(moved)
     return nu
 
@@ -324,7 +319,7 @@ def construct_lengths(weights: WeightList,
             sl = levels.slice()
             m = _node_count(eta, sl)
             if m % 2:
-                _, moved = _rank_split(eta, sl, m - 1, counter)
+                _, moved = _rank_split(eta, sl, m - 1, counter, m)
                 levels.apply_move(moved)
                 pending_moves += 1
             got = _assign_to_level(eta + 1, levels, pool)
@@ -352,5 +347,5 @@ def construct_lengths(weights: WeightList,
     if iterations > 2 * k:
         raise AssertionError(
             f"{iterations} assignment iterations exceed twice the {k} distinct lengths")
-    stats = ConstructionStats(iterations, counter.count, k, tuple(trace))
+    stats = ConstructionStats(iterations, counter.count, k, tuple(trace), levels.hits)
     return profile, stats

@@ -168,12 +168,15 @@ class ConstructionStats:
     one weight, including level 0.  The trace carries one entry per event
     (level, weights assigned, subtrees moved up by the preceding Kraft
     fix-up) plus a final entry for the terminal power-of-two adjustment.
+    ``cache_hits`` counts internal splitting queries answered from the
+    memo of the current level state, which make no comparison.
     """
 
     iterations: int
     weight_comparisons: int
     distinct_lengths: int
     trace: tuple[LevelTraceEntry, ...]
+    cache_hits: int = 0
 
 
 def kraft_sum(lengths: Sequence[int] | CodeLengthProfile) -> Fraction:

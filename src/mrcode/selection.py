@@ -51,16 +51,22 @@ def _pivot(items: list, cnt: ComparisonCounter):
 
 
 def _select(items: list, t: int, cnt: ComparisonCounter):
-    """t-th smallest (1-based) in the strict order, plus both remainders."""
+    """t-th smallest (1-based) in the strict order, plus both remainders.
+
+    Each remainder is a run of blocks of ascending rank, and a block keeps
+    its items in input order or sorts them, so if the first j input items
+    were the j smallest, the first j of ``lows + [item] + highs`` still are.
+    """
     lows_acc: list = []
-    highs_acc: list = []
+    high_blocks: list = []  # larger-rank blocks, the largest first
     work = items
     while True:
         n = len(work)
         if n == 1:
             if t != 1:
                 raise ValueError(f"rank {t} out of range 1..1")
-            return work[0], lows_acc, highs_acc
+            item, highs = work[0], []
+            break
         if n <= 32:
             # counted insertion sort; n(n-1)/2 comparisons stay below the
             # 24n selection budget for every n up to 49.  Inserting into k
@@ -83,8 +89,8 @@ def _select(items: list, t: int, cnt: ComparisonCounter):
             if work is items:
                 return out[t - 1], out[:t - 1], out[t:]
             lows_acc.extend(out[:t - 1])
-            highs_acc.extend(out[t:])
-            return out[t - 1], lows_acc, highs_acc
+            item, highs = out[t - 1], out[t:]
+            break
         pivot = _pivot(work, cnt)
         lows = []
         highs = []
@@ -101,17 +107,20 @@ def _select(items: list, t: int, cnt: ComparisonCounter):
         k = len(lows) + 1
         if t == k:
             lows_acc.extend(lows)
-            highs_acc.extend(highs)
-            return pivot, lows_acc, highs_acc
+            item = pivot
+            break
         if t < k:
-            highs_acc.append(pivot)
-            highs_acc.extend(highs)
+            high_blocks.append(highs)
+            high_blocks.append((pivot,))
             work = lows
         else:
             lows_acc.extend(lows)
             lows_acc.append(pivot)
             work = highs
             t -= k
+    for block in reversed(high_blocks):
+        highs += block
+    return item, lows_acc, highs
 
 
 def select_rank(items: Sequence[WeightItem], t: int,
@@ -120,7 +129,9 @@ def select_rank(items: Sequence[WeightItem], t: int,
     """Return (t-th item in the strict order, smaller ranks, larger ranks).
 
     The two remainder lists partition the input minus the selected element.
-    Presorted inputs cost zero counted comparisons.
+    If the first j input items are its j smallest, so are the first j of
+    ``smaller + [item] + larger``.  Presorted inputs cost zero counted
+    comparisons.
     """
     n = len(items)
     if not 1 <= t <= n:

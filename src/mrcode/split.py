@@ -6,55 +6,64 @@ locates the weighted-by-multiplicity median node (the "splitting node"),
 or the t-th smallest/largest node, while evaluating only the handful of
 internal nodes the pruning actually touches.
 
-A slice holds the weights of a run of consecutive-rank nodes, bucketed by
-assigned level.  Each bucket is a list of contiguous segments (a rope), so
-catenating partial results never copies weight data.  Presorted slices
-answer leaf medians by index arithmetic; sums come from shared prefix-sum
-arrays.
+All weights of a construction live in one list, and each level holds one
+run of it.  The leaves that a run of consecutive-rank nodes holds at one
+level are leaves of consecutive rank, so a slice is one range per level.
+That takes every range handed out to hold exactly the weights of its rank
+range: presorted runs are sorted, and an unsorted selection partitions its
+window in place without moving a weight across any earlier range boundary.
+Internal splitting queries are memoized by (level, ranges) on the list's
+`Store` until the level state changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .core import ComparisonCounter, InvalidAssignmentError, LevelState, WeightItem
 from .selection import select_rank
 
+_value = itemgetter(0)
+_index = itemgetter(1)
 
-class LeafSlice:
-    """Weights of consecutive-rank nodes, grouped by assigned level.
 
-    ``segs`` maps each level that holds weights to a non-empty rope of
-    segments ``(arr, lo, hi, psum)``: the run ``arr[lo:hi]``, with ``psum``
-    the prefix sums of ``arr`` (presorted levels) or None.
+class Store:
+    """The list that every slice of one construction indexes.
+
+    ``psum`` holds the prefix sums of a presorted list and is None for an
+    unsorted one.  ``memo`` maps the level and the sorted ranges of a
+    `_fsi` query to its result (each position lies in the run of one
+    level, so the ranges fix the levels); whoever changes which weights a
+    range holds must clear it.  ``hits`` counts the queries it answered.
     """
 
-    __slots__ = ("segs", "n", "presorted")
+    __slots__ = ("arr", "psum", "memo", "hits")
 
-    def __init__(self, segs: dict[int, list[tuple]], n: int, presorted: bool):
-        self.segs = segs
+    def __init__(self, arr: list[WeightItem], psum: list[int] | None):
+        self.arr = arr
+        self.psum = psum
+        self.memo: dict[tuple, tuple] = {}
+        self.hits = 0
+
+
+class LeafSlice:
+    """Weights of consecutive-rank nodes: ``store.arr[lo:hi]`` for each
+    ``runs[level] = (lo, hi)``, one non-empty range per level."""
+
+    __slots__ = ("store", "runs", "n")
+
+    def __init__(self, store: Store, runs: dict[int, tuple[int, int]], n: int):
+        self.store = store
+        self.runs = runs
         self.n = n
-        self.presorted = presorted
-
-    @classmethod
-    def from_runs(cls, arr: list[WeightItem], runs: Mapping[int, tuple[int, int]],
-                  psum: list[int] | None) -> "LeafSlice":
-        """Slice of the runs ``arr[lo:hi]`` per level, which it shares rather
-        than copies.  With `psum`, the prefix sums of `arr`, the slice is
-        presorted and sums by subtraction."""
-        segs: dict[int, list[tuple]] = {}
-        n = 0
-        for lv, (lo, hi) in runs.items():
-            if lo < hi:
-                segs[lv] = [(arr, lo, hi, psum)]
-                n += hi - lo
-        return cls(segs, n, psum is not None)
 
     @classmethod
     def from_levels(cls, levels: Mapping[int, Sequence[WeightItem]],
                     presorted: bool = False) -> "LeafSlice":
+        """Slice of a fresh list holding the levels' weights."""
         arr: list[WeightItem] = []
         runs = {}
         for lv in sorted(levels):
@@ -63,23 +72,22 @@ class LeafSlice:
                 for a, b in zip(items, items[1:]):
                     if b < a:
                         raise ValueError(f"level {lv} is not in ascending order")
-            runs[lv] = (len(arr), len(arr) + len(items))
-            arr += items
-        psum = [0, *accumulate(it[0] for it in arr)] if presorted else None
-        return cls.from_runs(arr, runs, psum)
+            if items:
+                runs[lv] = (len(arr), len(arr) + len(items))
+                arr += items
+        psum = [0, *accumulate(map(_value, arr))] if presorted else None
+        return cls(Store(arr, psum), runs, len(arr))
 
     @classmethod
     def from_state(cls, state: LevelState, presorted: bool = False) -> "LeafSlice":
         return cls.from_levels(state.levels, presorted)
 
     def levels(self) -> list[int]:
-        return sorted(self.segs)
+        return sorted(self.runs)
 
     def level_items(self, level: int) -> list[WeightItem]:
-        out: list[WeightItem] = []
-        for arr, lo, hi, _ in self.segs.get(level, ()):
-            out += arr[lo:hi]
-        return out
+        lo, hi = self.runs.get(level, (0, 0))
+        return self.store.arr[lo:hi]
 
     def all_items(self) -> list[WeightItem]:
         out: list[WeightItem] = []
@@ -87,26 +95,21 @@ class LeafSlice:
             out += self.level_items(lv)
         return out
 
-    def level_count(self, level: int) -> int:
-        n = 0
-        for _, lo, hi, _ in self.segs.get(level, ()):
-            n += hi - lo
-        return n
-
     def total_value(self) -> int:
+        arr, ps = self.store.arr, self.store.psum
         total = 0
-        for segs in self.segs.values():
-            for arr, lo, hi, ps in segs:
-                if ps is not None:
-                    total += ps[hi] - ps[lo]
-                else:
-                    for it in arr[lo:hi]:
-                        total += it[0]
+        for lo, hi in self.runs.values():
+            if ps is not None:
+                total += ps[hi] - ps[lo]
+            elif hi - lo == 1:
+                total += arr[lo][0]
+            else:
+                total += sum(map(_value, arr[lo:hi]))
         return total
 
     def min_index(self) -> int:
-        return min(it[1] for segs in self.segs.values() for arr, lo, hi, _ in segs
-                   for it in arr[lo:hi])
+        arr = self.store.arr
+        return min(min(map(_index, arr[lo:hi])) for lo, hi in self.runs.values())
 
     def __len__(self) -> int:
         return self.n
@@ -127,114 +130,87 @@ class SplitResult:
     upper: LeafSlice
 
 
-def _empty(presorted) -> LeafSlice:
-    return LeafSlice({}, 0, presorted)
+def _range(store: Store, level: int, lo: int, hi: int) -> LeafSlice:
+    return LeafSlice(store, {level: (lo, hi)} if lo < hi else {}, hi - lo)
 
 
-def _of(level, segs, n, presorted) -> LeafSlice:
-    """Slice of `n` leaves at `level`; it keeps the list `segs`."""
-    if n == 0:
-        return LeafSlice({}, 0, presorted)
-    return LeafSlice({level: segs}, n, presorted)
-
-
-def _one(level, item, presorted) -> LeafSlice:
-    return LeafSlice({level: [((item,), 0, 1, None)]}, 1, presorted)
-
-
-def _cat(parts: Iterable[LeafSlice], presorted, level=None, leaf_segs=(), nleaf=0) -> LeafSlice:
-    """Union of the parts, plus `nleaf` weights in `leaf_segs` at `level`,
-    which no part holds.  Each level's segments keep the parts' order."""
-    segs: dict[int, list[tuple]] = {}
-    n = nleaf
+def _union(store: Store, parts: Iterable[LeafSlice], level=None, lo=0, hi=0) -> LeafSlice:
+    """Union of slices of adjacent rank runs, plus the leaves ``arr[lo:hi]``
+    at `level`, which no part holds.  Ranges of adjacent rank runs at one
+    level are adjacent, so each level's union is one range."""
+    runs = None
+    n = hi - lo
     only = None
     for part in parts:
-        if part.n == 0:
+        if not part.n:
             continue
         only = None if n else part
-        for lv, ss in part.segs.items():
-            if lv in segs:
-                segs[lv] += ss
-            else:
-                segs[lv] = list(ss)
         n += part.n
+        if runs is None:
+            runs = dict(part.runs)
+            continue
+        for lv, ab in part.runs.items():
+            r = runs.setdefault(lv, ab)
+            if r is not ab:
+                runs[lv] = (r[0], ab[1]) if r[1] == ab[0] else (ab[0], r[1])
     if only is not None:
         return only  # slices are never mutated, so one part can be shared
-    if nleaf:
-        segs[level] = leaf_segs
-    return LeafSlice(segs, n, presorted)
+    if runs is None:
+        runs = {}
+    if lo < hi:
+        runs[level] = (lo, hi)
+    return LeafSlice(store, runs, n)
 
 
 def _below(sl: LeafSlice, level: int) -> LeafSlice:
-    segs = {}
-    n = 0
-    for lv, ss in sl.segs.items():
-        if lv < level:
-            segs[lv] = ss
-            for _, lo, hi, _ in ss:
-                n += hi - lo
-        elif lv > level:
-            raise InvalidAssignmentError(f"slice holds weights above level {level}")
-    return LeafSlice(segs, n, sl.presorted)
+    runs = sl.runs
+    if runs and max(runs) > level:
+        raise InvalidAssignmentError(f"slice holds weights above level {level}")
+    if level not in runs:
+        return sl
+    lo, hi = runs[level]
+    runs = dict(runs)
+    del runs[level]
+    return LeafSlice(sl.store, runs, sl.n - (hi - lo))
 
 
-def _leaf_select(segs: list[tuple], t: int, presorted, cnt):
-    """t-th smallest leaf of the window; returns (item, lo, hi, nlo, nhi)."""
-    total = 0
-    for _, lo, hi, _ in segs:
-        total += hi - lo
-    if not 1 <= t <= total:
-        raise ValueError(f"rank {t} out of range 1..{total}")
-    if total == 1:
-        arr, lo, _, _ = segs[0]
-        return arr[lo], [], [], 0, 0
-    if presorted:
-        acc = 0
-        for i, (arr, lo, hi, ps) in enumerate(segs):
-            ln = hi - lo
-            if acc + ln >= t:
-                at = lo + t - acc - 1
-                lows = segs[:i]
-                if at > lo:
-                    lows.append((arr, lo, at, ps))
-                highs = [(arr, at + 1, hi, ps)] if at + 1 < hi else []
-                highs += segs[i + 1:]
-                return arr[at], lows, highs, t - 1, total - t
-            acc += ln
-        raise AssertionError("unreachable")
-    if len(segs) == 1:
-        arr, lo, hi, _ = segs[0]
-        flat = arr[lo:hi]
-    else:
-        flat = []
-        for arr, lo, hi, _ in segs:
-            flat += arr[lo:hi]
-    item, lows, highs = select_rank(flat, t, cnt)
-    nlo = len(lows)
-    nhi = total - 1 - nlo
-    return (item, [(lows, 0, nlo, None)] if nlo else [],
-            [(highs, 0, nhi, None)] if nhi else [], nlo, nhi)
+def _leaf_select(store: Store, lo: int, hi: int, t: int, cnt) -> WeightItem:
+    """The t-th smallest weight of ``arr[lo:hi]``, left at position
+    ``lo + t - 1`` with the smaller ones before it and the larger after.
+
+    An unsorted window is rewritten in the order `select_rank` returns,
+    which keeps the weights before every earlier boundary inside the
+    window before it, so every range handed out keeps its weights.
+    """
+    if not 1 <= t <= hi - lo:
+        raise ValueError(f"rank {t} out of range 1..{hi - lo}")
+    arr = store.arr
+    if store.psum is not None or hi - lo == 1:
+        return arr[lo + t - 1]
+    item, lows, highs = select_rank(arr[lo:hi], t, cnt)
+    arr[lo:hi] = [*lows, item, *highs]
+    return item
 
 
 def node_count(level: int, sl: LeafSlice) -> int:
     """Number of nodes at `level` implied by the slice, by pure arithmetic."""
-    if sl.n == 0:
+    runs = sl.runs
+    if not runs:
         return 0
-    segs = sl.segs
-    if len(segs) == 1:
-        (prev,) = segs
+    if len(runs) == 1:
+        (prev,) = runs
         m = sl.n
     else:
         m = 0
         prev = None
-        for lv in sorted(segs):
+        for lv in sorted(runs):
             if prev is not None:
                 gap = lv - prev
                 if m & ((1 << gap) - 1):
                     raise InvalidAssignmentError("slice does not fold into whole nodes")
                 m >>= gap
-            for _, lo, hi, _ in segs[lv]:
-                m += hi - lo
+            lo, hi = runs[lv]
+            m += hi - lo
             prev = lv
     if prev > level:
         raise InvalidAssignmentError(f"slice holds weights above level {level}")
@@ -267,39 +243,38 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None,
     if sl.n == 0:
         raise ValueError("empty slice")
     rank = nodes is not None
-    presorted = sl.presorted
-    wsegs = sl.segs.get(level, ())
-    if wsegs and len(sl.segs) == 1:
+    st = sl.store
+    lo0, hi0 = sl.runs.get(level, (0, 0))
+    if lo0 < hi0 and len(sl.runs) == 1:
         # leaves only: the lower median, without narrowing to s1, or the
         # leaf of rank s1
-        mid, lo, hi, nlo, nhi = _leaf_select(wsegs, s1 if rank else (sl.n + 1) // 2,
-                                             presorted, cnt)
+        t = s1 if rank else (sl.n + 1) // 2
+        _leaf_select(st, lo0, hi0, t, cnt)
+        at = lo0 + t - 1
         if rank:
-            lo.append(((mid,), 0, 1, None))
-            return (nlo + 1, None, _of(level, lo, nlo + 1, presorted),
-                    _of(level, hi, nhi, presorted))
-        return (nlo + 1, _one(level, mid, presorted), _of(level, lo, nlo, presorted),
-                _of(level, hi, nhi, presorted))
+            return t, None, _range(st, level, lo0, at + 1), _range(st, level, at + 1, hi0)
+        return (t, _range(st, level, at, at + 1), _range(st, level, lo0, at),
+                _range(st, level, at + 1, hi0))
     wbelow = _below(sl, level)
-    nleaf = sl.n - wbelow.n
+    # the leaf window is arr[wlo:whi]; the leaves before it rank below the
+    # node, those after it above
+    wlo, whi = lo0, hi0
 
     s2 = (nodes if rank else sl.n) - s1 - 1
-    q = nodes - nleaf if rank else 0  # rank split: nodes in the internal window
-    # weights found to rank below / above the node: internal-window parts,
-    # and leaf segments at `level`, with their count; the upper side is
-    # gathered in reverse rank order
+    q = nodes - (hi0 - lo0) if rank else 0  # rank split: nodes in the internal window
+    # internal-window parts found to rank below / above the node
     lower: list[LeafSlice] = []
     upper: list[LeafSlice] = []
-    lo_leaves: list[tuple] = []
-    hi_leaves: list[list[tuple]] = []
-    nlower = nupper = 0
     pos = 1
-    mid = chi = None  # the probes; None once their window has changed
+    at = chi = None  # the probes; None once their window has changed
     while True:
+        nleaf = whi - wlo
         if rank and (s1 == 0 or not wbelow.n or not nleaf):
             break  # a rank split ends without narrowing; see below
-        if nleaf and mid is None:
-            mid, lo, hi, nlo, nhi = _leaf_select(wsegs, (nleaf + 1) // 2, presorted, cnt)
+        if nleaf and at is None:
+            mid = _leaf_select(st, wlo, whi, (nleaf + 1) // 2, cnt)
+            at = wlo + (nleaf - 1) // 2
+            nlo, nhi = at - wlo, whi - at - 1
         if wbelow.n and chi is None:
             p, chi, p1, p2 = _fsi(level, wbelow, cnt)
             chi_val = chi.total_value()
@@ -332,18 +307,12 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None,
                 break
             leaf_moves, up = False, c1 > s1
         if leaf_moves and up:
-            hi_leaves.append(hi)
-            hi_leaves.append([((mid,), 0, 1, None)])
-            nupper += nhi + 1
             s2 -= 1 + nhi
-            wsegs, nleaf, mid = lo, nlo, None
+            whi, at = at, None
         elif leaf_moves:
-            lo_leaves += lo
-            lo_leaves.append(((mid,), 0, 1, None))
-            nlower += nlo + 1
             s1 -= nlo + 1
             pos += nlo + 1
-            wsegs, nleaf, mid = hi, nhi, None
+            wlo, at = at + 1, None
         elif up:
             upper.append(p2)
             upper.append(chi)
@@ -356,40 +325,32 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None,
             pos += p
             wbelow, q, chi = p2, c2, None
 
+    # close the leaf window: the leaves in arr[lo0:wlo] rank below the node,
+    # those in arr[whi:hi0] above it, and a leaf node is arr[wlo:whi]
     if not rank:
-        if nleaf:
-            lo_leaves += lo
-            hi_leaves.append(hi)
-            nlower += nlo
-            nupper += nhi
+        if whi > wlo:
             pos += nlo
-            chi = _one(level, mid, presorted)
+            chi = _range(st, level, at, at + 1)
+            wlo, whi = at, at + 1
         else:
             lower.append(p1)
             upper.append(p2)
             pos += p - 1
     elif s1 == 0:
         upper.append(wbelow)
-        hi_leaves.append(wsegs)
-        nupper += nleaf
+        whi = wlo
     elif not wbelow.n:
         # leaves only: select rank s1 directly, with no median first
-        mid, lo, hi, nlo, nhi = _leaf_select(wsegs, s1, presorted, cnt)
-        lo_leaves += lo
-        lo_leaves.append(((mid,), 0, 1, None))
-        hi_leaves.append(hi)
-        nlower += nlo + 1
-        nupper += nhi
+        _leaf_select(st, wlo, whi, s1, cnt)
+        wlo = whi = wlo + s1
     else:
         # internal nodes only: each is 2^gap nodes one leaf level down
-        h = max(wbelow.segs)
-        first, rest = _rank_split(h, wbelow, s1 << (level - h), cnt)
+        h = max(wbelow.runs)
+        gap = level - h
+        first, rest = _rank_split(h, wbelow, s1 << gap, cnt, q << gap)
         lower.append(first)
         upper.append(rest)
-    if nupper:
-        hi_leaves = [seg for run in reversed(hi_leaves) for seg in run]
-    return (pos, chi, _cat(lower, presorted, level, lo_leaves, nlower),
-            _cat(reversed(upper), presorted, level, hi_leaves, nupper))
+    return pos, chi, _union(st, lower, level, lo0, wlo), _union(st, upper, level, whi, hi0)
 
 
 def _fsa(level: int, sl: LeafSlice, cnt: ComparisonCounter):
@@ -403,35 +364,47 @@ def _fsi(level: int, sl: LeafSlice, cnt: ComparisonCounter):
     Locates the splitting node one leaf level down, then widens it to the
     enclosing whole internal node: the largest `off` nodes below and the
     smallest `span - off - 1` nodes above join the chosen one.
+
+    This is the query the recursion ``_locate -> _fsi -> _fsa -> _locate``
+    repeats, so its results are memoized until the level state changes.
     """
-    if not sl.segs:
+    if not sl.runs:
         raise ValueError("empty slice")
-    h = max(sl.segs)
+    h = max(sl.runs)
     if h >= level:
         raise InvalidAssignmentError(f"slice holds weights at or above level {level}")
+    st = sl.store
+    key = (level, *sorted(sl.runs.values()))
+    out = st.memo.get(key)
+    if out is not None:
+        st.hits += 1
+        return out
     alpha, chi, o1, o2 = _fsa(h, sl, cnt)
     span = 1 << (level - h)
     off = (alpha - 1) & (span - 1)
     parts = [chi]
     if off:  # o1 holds the alpha - 1 nodes before the chosen one
-        o1, below = _rank_split(h, o1, alpha - 1 - off, cnt)
-        parts.insert(0, below)
+        o1, below = _rank_split(h, o1, alpha - 1 - off, cnt, alpha - 1)
+        parts.append(below)
     rest = span - off - 1
     if rest:
         above, o2 = _rank_split(h, o2, rest, cnt)
         parts.append(above)
     if len(parts) > 1:
-        chi = _cat(parts, sl.presorted)
-    return -(-alpha // span), chi, o1, o2
+        chi = _union(st, parts)
+    out = st.memo[key] = (-(-alpha // span), chi, o1, o2)
+    return out
 
 
-def _rank_split(level: int, sl: LeafSlice, t: int, cnt: ComparisonCounter):
-    """Split the slice's nodes at `level` after the t-th smallest rank."""
+def _rank_split(level: int, sl: LeafSlice, t: int, cnt: ComparisonCounter,
+                nodes: int | None = None):
+    """Split the slice's nodes at `level` after the t-th smallest rank;
+    `nodes`, if the caller knows it, is the slice's node count there."""
     if t == 0:
-        return _empty(sl.presorted), sl
-    total = node_count(level, sl)
+        return LeafSlice(sl.store, {}, 0), sl
+    total = node_count(level, sl) if nodes is None else nodes
     if t == total:
-        return sl, _empty(sl.presorted)
+        return sl, LeafSlice(sl.store, {}, 0)
     if not 0 < t < total:
         raise ValueError(f"rank {t} out of range 1..{total}")
     _, _, first, rest = _locate(level, sl, t, total, cnt)

@@ -16,8 +16,10 @@ from mrcode import (ConstructionMode, LeafSlice, WeightList,
                     assignment_from_lengths, brute_force_optimal, canonical_codes,
                     code_cost, construct_lengths, decode, encode,
                     find_splitting_all, find_splitting_internal, find_t_largest,
-                    find_t_smallest, huffman_lengths, kraft_sum, verify_exclusion)
+                    find_t_smallest, huffman_lengths, kraft_sum, monotone,
+                    verify_exclusion)
 from mrcode import generators
+from mrcode.core import MAX_WEIGHT
 from oracles import (WORKED_COST, WORKED_LENGTH_COUNTS, WORKED_VALUES,
                      materialize, random_level_state, splitting_rank_all)
 
@@ -259,6 +261,54 @@ def test_split_engine_matches_materialization():
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     print(f"\nPASS split-engine-vs-materialization: 1000 random states, "
           f"{elapsed:.1f}s (budget 10s)")
+
+
+def _high_k_corpus():
+    """(label, values) for every family, Fibonacci weights, maximal values
+    and heavy ties; the families include the high-k uniform, geometric and
+    exponential inputs that the large corpus avoids."""
+    rng = random.Random(0xCA)
+    sizes = {"exponential": (8, 31, 62), "example41": (8, 64, 128)}
+    for family in generators.FAMILIES:
+        for n in sizes.get(family, (8, 60, 200)):
+            for seed in (1, 2):
+                yield f"{family}-{n}", generators.generate(family, n, seed)
+    fib = [1, 1]
+    while len(fib) < 92:
+        fib.append(fib[-1] + fib[-2])  # fib[91] is the largest below 2^63
+    for n in (3, 20, 50, 92):
+        values = fib[:n]
+        rng.shuffle(values)
+        yield f"fibonacci-{n}", values
+    yield "max-weight-equal", [MAX_WEIGHT] * 100
+    yield "max-weight-mixed", [MAX_WEIGHT] * 40 + [1] * 7 + [MAX_WEIGHT - 1] * 5
+    yield "max-weight-random", [rng.randint(MAX_WEIGHT // 4, MAX_WEIGHT) for _ in range(150)]
+    for n in (2, 3, 5, 64, 300):
+        yield f"ties-{n}", [rng.choice((1, 2)) for _ in range(n)]
+    yield "ties-one-outlier", [7] * 127 + [1000]
+
+
+def test_high_k_families_match_heap_oracle():
+    # a differential run against the heap oracle, sorted and unsorted, under
+    # both drivers; it must fit its time budget
+    t0 = time.perf_counter()
+    runs = 0
+    for label, values in _high_k_corpus():
+        w = WeightList.from_values(values)
+        for weights in (w, w.sorted_copy()):
+            best = code_cost(weights, huffman_lengths(weights))
+            for mode in (DETAILED, BASIC):
+                profile, stats = construct_lengths(weights, mode)
+                where = f"{label} sorted={weights.sorted_flag} {mode.algorithm}"
+                assert code_cost(weights, profile) == best, where
+                assert kraft_sum(profile) == 1, where
+                assert monotone(weights, profile), where
+                assert stats.iterations <= 2 * stats.distinct_lengths, where
+                runs += 1
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0, f"took {elapsed:.1f}s"
+    print(f"\nPASS high-k-vs-heap-oracle: {runs} constructions, "
+          f"{elapsed:.1f}s (budget 60s)")
 
 
 def test_codec_round_trip():

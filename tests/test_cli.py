@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mrcode import WeightList, huffman_lengths
+from mrcode import WeightList, construct_lengths, huffman_lengths
 from mrcode.cli import main
 from oracles import WORKED_VALUES
 
@@ -40,6 +40,8 @@ def test_lengths_stats_side_channel(tmp_path, capsys):
                  "--stats"]) == 0
     err = capsys.readouterr().err
     assert "k=3" in err and "iterations=3" in err
+    _, stats = construct_lengths(WeightList.from_values(WORKED_VALUES))
+    assert stats.cache_hits > 0 and f"cache_hits={stats.cache_hits}\n" in err
 
 
 @pytest.mark.parametrize("algo", ["detailed", "basic", "huffman", "two-queue"])

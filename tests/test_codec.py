@@ -191,3 +191,63 @@ def test_mutated_containers_decode_or_raise_typed_errors(n, seed, edits, resize)
     assert all(0 <= s < len(lengths) for s in decoded)
     if bytes(blob) == pack_container(profile.lengths, payload, bits):
         assert decoded == message
+
+
+def _reference_table(lengths):
+    """Canonical table by the textbook recipe: sort symbols by (length,
+    index), check Kraft with exact fractions."""
+    from fractions import Fraction
+    ls = lengths.lengths
+    if sum(Fraction(1, 2 ** l) for l in ls) > 1:
+        raise ValueError("oversubscribed")
+    top = max(ls)
+    counts = [0] * (top + 1)
+    for l in ls:
+        counts[l] += 1
+    first = [0] * (top + 1)
+    code = 0
+    for l in range(1, top + 1):
+        first[l] = code
+        code = (code + counts[l]) << 1
+    by_rank = [[] for _ in range(top + 1)]
+    for sym in sorted(range(len(ls)), key=lambda s: (ls[s], s)):
+        by_rank[ls[sym]].append(sym)
+    codes = [0] * len(ls)
+    for l in range(1, top + 1):
+        for offset, sym in enumerate(by_rank[l]):
+            codes[sym] = first[l] + offset
+    return (tuple(ls), tuple(codes), tuple(first), tuple(counts),
+            tuple(tuple(b) for b in by_rank))
+
+
+def _reference_container(lengths, payload, bits):
+    import struct
+    out = bytearray(b"PFX1") + struct.pack("<Q", len(lengths))
+    for l in lengths:
+        out += struct.pack("<H", l)
+    return bytes(out + struct.pack("<Q", bits) + payload)
+
+
+def test_tables_and_containers_match_reference_recipe():
+    rng = random.Random(0xC0DE)
+    for trial in range(300):
+        n = rng.randint(1, 300)
+        if trial % 3:
+            w = WeightList.from_values([rng.randint(1, rng.choice([3, 1000, 10**9]))
+                                        for _ in range(n)])
+            lengths = huffman_lengths(w)
+        else:
+            # incomplete codes (Kraft sum below 1) and oversubscribed ones
+            lengths = CodeLengthProfile(tuple(rng.randint(1, 12) for _ in range(n)))
+        try:
+            expected = _reference_table(lengths)
+        except ValueError:
+            with pytest.raises(ValueError):
+                canonical_codes(lengths)
+            continue
+        t = canonical_codes(lengths)
+        assert (t.lengths, t.codes, t.first_codes, t.counts, t.symbols_by_rank) == expected
+        message = [rng.randrange(n) for _ in range(50)]
+        payload, bits = encode(message, t)
+        assert pack_container(lengths.lengths, payload, bits) == \
+            _reference_container(lengths.lengths, payload, bits)

@@ -222,8 +222,8 @@ def test_comparison_counting_toggle():
 
 
 @pytest.mark.parametrize("algo, presorted, expected", [
-    ("detailed", False, 543), ("detailed", True, 68),
-    ("basic", False, 414), ("basic", True, 55),
+    ("detailed", False, 437), ("detailed", True, 68),
+    ("basic", False, 361), ("basic", True, 55),
 ])
 def test_worked_example_comparison_counts(algo, presorted, expected):
     # exact counts: a change that lowers them updates these pins and
@@ -312,6 +312,7 @@ def test_length_class_occupies_two_adjacent_levels():
             order = {lv: i for i, lv in enumerate(populated)}
             by_class: dict[int, set[int]] = {}
             for lv, items in snap.items():
+                assert list(items) == sorted(items)  # hooks see (value, index) order
                 for it in items:
                     by_class.setdefault(final_len[it.index], set()).add(lv)
             for levels in by_class.values():
@@ -384,13 +385,18 @@ def test_cost_matches_greedy_oracle(values):
 # -------------------------------------------------------------- pending pool
 
 def test_pool_counted_scans():
+    # one two-smallest scan serves min_item and two_smallest until
+    # take_below assigns a weight
     cnt = ComparisonCounter()
     pool = PendingPool(WeightList.from_values([4, 1, 3, 2]).items, False, cnt)
     assert pool.min_item().value == 1
-    assert cnt.count == 3
+    assert cnt.count == 5
     a, b = pool.two_smallest()
     assert (a.value, b.value) == (1, 2)
+    assert cnt.count == 5
     assert pool.take_below(3) == 2
+    assert cnt.count == 9
+    assert pool.min_item().value == 3 and cnt.count == 10
     assert sorted(it.value for it in pool.arr[:pool.cur]) == [1, 2]
     assert len(pool) == 2
 

@@ -98,3 +98,33 @@ def test_presorted_is_comparison_free():
     e, lo, hi = select_rank(items, 3, cnt, presorted=True)
     assert cnt.count == 0
     assert e == items[2] and lo == items[:2] and hi == items[3:]
+
+
+def _cuts(items):
+    """Every j for which the first j items are the j smallest."""
+    suffix_min = items[-1:]
+    for x in reversed(items[1:-1]):
+        suffix_min.append(min(x, suffix_min[-1]))
+    suffix_min.reverse()
+    cuts, top = set(), items[0]
+    for j in range(1, len(items)):
+        top = max(top, items[j - 1])
+        if top < suffix_min[j - 1]:
+            cuts.add(j)
+    return cuts
+
+
+def test_remainders_keep_earlier_partitions():
+    # if the first j items are the j smallest, the rewritten order
+    # smaller + [item] + larger keeps them first, for every such j
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.choice([rng.randint(2, 40), rng.randint(41, 400)])
+        items = items_of([rng.randint(1, rng.choice([3, 50, 10**6])) for _ in range(n)])
+        rng.shuffle(items)
+        # partition around a few random ranks first, as earlier selections would
+        for _ in range(rng.randint(0, 3)):
+            e, lo, hi = select_rank(items, rng.randint(1, n))
+            items = lo + [e] + hi
+        e, lo, hi = select_rank(items, rng.randint(1, n))
+        assert _cuts(items) <= _cuts(lo + [e] + hi)

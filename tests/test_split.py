@@ -269,3 +269,68 @@ def test_internal_split_needs_strictly_lower_weights():
 def test_add_weights_accepts_slices():
     sl = LeafSlice.from_levels({0: [WeightItem(3, 0), WeightItem(4, 1)]})
     assert add_weights(sl) == 7
+
+
+def _indices(sl):
+    return frozenset(it.index for it in sl.all_items())
+
+
+def _levels_of(sl):
+    return {lv: sl.level_items(lv) for lv in sl.levels()}
+
+
+def _wide_state(rng):
+    """Three levels with up to 160 leaves at level 0, so that selections
+    there run partition rounds, not only the small-window sort."""
+    half = rng.randint(17, 80)
+    counts = {0: 2 * half, 1: 2 * rng.randint(0, 20) + half % 2, 2: rng.randint(1, 40)}
+    total = sum(counts.values())
+    vmax = rng.choice([3, 12, 10**6])
+    order = list(range(total))
+    rng.shuffle(order)
+    state, pos = {}, 0
+    for lv, c in counts.items():
+        if c:
+            state[lv] = [WeightItem(rng.randint(1, vmax), order[pos + i]) for i in range(c)]
+        pos += c
+    return state
+
+
+def test_earlier_results_keep_their_weights():
+    # unsorted selections reorder the slice's list in place; a sequence of
+    # queries on one slice, and on the slices earlier queries returned, must
+    # leave every result handed out so far holding the same weights
+    rng = random.Random(808)
+    done = 0
+    while done < 200:
+        state = random_level_state(rng) if done % 2 else _wide_state(rng)
+        if state is None:
+            continue
+        done += 1
+        top = max(state)
+        sl = slice_of(state)
+        seen = []
+        pool = [sl]  # slices of whole nodes at `top` to query next
+        for _ in range(10):
+            target = rng.choice(pool)
+            total = node_count(top, target)
+            kind = rng.randrange(4)
+            if kind == 0:
+                r = find_splitting_all(top, target)
+                nodes = materialize(_levels_of(target), top)
+                assert r.pos == splitting_rank_all(_levels_of(target), top, nodes)
+                out = [r.lower, r.upper]
+            elif kind == 1 and total % 2 == 0:
+                r = find_splitting_internal(top + 1, target)
+                out = [r.lower, r.upper]
+            else:
+                t = rng.randint(1, total)
+                query = find_t_smallest if kind == 2 else find_t_largest
+                out = list(query(t, top, target))
+                nodes = materialize(_levels_of(target), top)
+                cut_at = t if kind == 2 else total - t
+                assert _indices(out[0]) == {it.index for nd in nodes[:cut_at] for it in nd[2]}
+            seen += [(x, _indices(x)) for x in out]
+            pool += [x for x in out if x.n]
+            for x, ids in seen:
+                assert _indices(x) == ids
