@@ -109,8 +109,10 @@ def cmd_verify(args) -> int:
     if len(lengths) != len(weights):
         raise _ParseFailure(
             f"{args.lengths}: {len(lengths)} lengths for {len(weights)} weights")
-    if any(l < 1 for l in lengths):
-        raise _ParseFailure(f"{args.lengths}: lengths must be positive")
+    # a complete code on n >= 2 symbols has no codeword longer than n - 1
+    bound = max(1, len(weights) - 1)
+    if min(lengths) < 1 or max(lengths) > bound:
+        raise _ParseFailure(f"{args.lengths}: lengths must lie in 1..{bound}")
     profile = CodeLengthProfile(tuple(lengths))
     ks = kraft_sum(profile)
     cost = code_cost(weights, profile)

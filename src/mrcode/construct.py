@@ -11,7 +11,6 @@ moving the largest-rank subtrees up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Literal
 
 from .core import (CodeLengthProfile, ComparisonCounter, ConstructionStats,
@@ -108,18 +107,18 @@ class _Levels(Store):
     """Leaf assignment as runs of the pool's list.
 
     Level ``lv`` holds ``arr[lo:hi]`` for ``runs[lv] = (lo, hi)``; the runs
-    ascend with the level and tile ``arr[:pool.cur]``.  In presorted mode
-    the list never changes, so the weights of each level are a run of the
-    sorted input and `psum`, its prefix sums, is built once.  In unsorted
-    mode selections reorder a run in place, keeping every range's weights.
-    Changing the runs clears the query memo.
+    ascend with the level and tile ``arr[:pool.cur]``, so each run is one
+    distinct codeword length.  In presorted mode the list never changes:
+    the weights of each level are a run of the sorted input, and the
+    store's block prefix sums over the whole list are built once.  In
+    unsorted mode selections reorder a run in place, keeping every range's
+    weights.  Changing the runs clears the query memo.
     """
 
     __slots__ = ("runs",)
 
     def __init__(self, pool: PendingPool):
-        super().__init__(pool.arr, [0, *accumulate(it[0] for it in pool.arr)]
-                         if pool.presorted else None)
+        super().__init__(pool.arr, pool.presorted)
         self.runs: dict[int, tuple[int, int]] = {}
 
     def top(self) -> int:
@@ -198,14 +197,16 @@ def _assign_to_level(level: int, levels: _Levels, pool: PendingPool) -> int:
     smallest-rank candidates moves in."""
     cnt = pool.cnt
     first, rest = _rank_split(level, levels.slice(), 1, cnt)
-    keys = [(first.total_value(), first.min_index())]
+    nodes = [(first.total_value(), first)]
     if rest.n:
         second, _ = _rank_split(level, rest, 1, cnt)
-        keys.append((second.total_value(), second.min_index()))
-    w1, w2 = pool.two_smallest()
-    keys.append(w1)
-    if w2 is not None:
-        keys.append(w2)
+        nodes.append((second.total_value(), second))
+    ws = [w for w in pool.two_smallest() if w is not None]
+    values = [v for v, _ in nodes] + [w[0] for w in ws]
+    # a key's index is read only when its value ties another's, so a
+    # node's smallest index, a scan of its weights, is needed only then
+    keys = [(v, nd.min_index() if values.count(v) > 1 else 0) for v, nd in nodes]
+    keys += ws
     best, second_key = _two_smallest(keys, cnt)
     taken = pool.take_below(best[0] + second_key[0])
     levels.add(level, taken)
@@ -343,7 +344,7 @@ def construct_lengths(weights: WeightList,
         for it in arr[lo:hi]:
             lengths[it[1]] = code_len
     profile = CodeLengthProfile(tuple(lengths))
-    k = len(set(profile.lengths))
+    k = len(levels.runs)
     if iterations > 2 * k:
         raise AssertionError(
             f"{iterations} assignment iterations exceed twice the {k} distinct lengths")

@@ -108,7 +108,7 @@ class CodeLengthProfile:
     def __post_init__(self) -> None:
         if not self.lengths:
             raise ValueError("empty length profile")
-        if any(l < 1 for l in self.lengths):
+        if min(self.lengths) < 1:
             raise ValueError("codeword lengths must be >= 1")
 
     @property

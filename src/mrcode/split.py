@@ -30,23 +30,43 @@ _value = itemgetter(0)
 _index = itemgetter(1)
 
 
+# Weights per block of a presorted store's prefix sums.
+BLOCK = 64
+
+
 class Store:
     """The list that every slice of one construction indexes.
 
-    ``psum`` holds the prefix sums of a presorted list and is None for an
-    unsorted one.  ``memo`` maps the level and the sorted ranges of a
-    `_fsi` query to its result (each position lies in the run of one
+    A presorted store, whose list is in (value, index) order, keeps in
+    ``psum`` the prefix sums of its values over blocks of `BLOCK` weights:
+    ``psum[j]`` is the total of ``arr[:j * BLOCK]``.  A range sum takes its
+    whole blocks from them and adds the at most two partial blocks at its
+    ends.  An unsorted store has ``psum`` None, and ``psum is not None`` is
+    the test for presorted.  ``memo`` maps the level and the sorted ranges
+    of a `_fsi` query to its result (each position lies in the run of one
     level, so the ranges fix the levels); whoever changes which weights a
     range holds must clear it.  ``hits`` counts the queries it answered.
     """
 
     __slots__ = ("arr", "psum", "memo", "hits")
 
-    def __init__(self, arr: list[WeightItem], psum: list[int] | None):
+    def __init__(self, arr: list[WeightItem], presorted: bool):
         self.arr = arr
-        self.psum = psum
+        self.psum = None
+        if presorted:
+            blocks = (sum(map(_value, arr[i:i + BLOCK])) for i in range(0, len(arr), BLOCK))
+            self.psum = [0, *accumulate(blocks)]
         self.memo: dict[tuple, tuple] = {}
         self.hits = 0
+
+    def range_sum(self, lo: int, hi: int) -> int:
+        """Total value of ``arr[lo:hi]``."""
+        arr, ps = self.arr, self.psum
+        a, b = -(-lo // BLOCK), hi // BLOCK  # the whole blocks inside
+        if ps is None or a >= b:
+            return sum(map(_value, arr[lo:hi]))
+        return (ps[b] - ps[a] + sum(map(_value, arr[lo:a * BLOCK]))
+                + sum(map(_value, arr[b * BLOCK:hi])))
 
 
 class LeafSlice:
@@ -75,8 +95,7 @@ class LeafSlice:
             if items:
                 runs[lv] = (len(arr), len(arr) + len(items))
                 arr += items
-        psum = [0, *accumulate(map(_value, arr))] if presorted else None
-        return cls(Store(arr, psum), runs, len(arr))
+        return cls(Store(arr, presorted), runs, len(arr))
 
     @classmethod
     def from_state(cls, state: LevelState, presorted: bool = False) -> "LeafSlice":
@@ -96,15 +115,10 @@ class LeafSlice:
         return out
 
     def total_value(self) -> int:
-        arr, ps = self.store.arr, self.store.psum
+        st = self.store
         total = 0
         for lo, hi in self.runs.values():
-            if ps is not None:
-                total += ps[hi] - ps[lo]
-            elif hi - lo == 1:
-                total += arr[lo][0]
-            else:
-                total += sum(map(_value, arr[lo:hi]))
+            total += st.arr[lo][0] if hi - lo == 1 else st.range_sum(lo, hi)
         return total
 
     def min_index(self) -> int:

@@ -85,6 +85,22 @@ def test_verify_rejects_tampering(tmp_path, capsys):
     assert main(["verify", "--weights", str(wf), "--lengths", str(lf)]) == 1
 
 
+def test_verify_rejects_lengths_out_of_range(tmp_path, capsys):
+    # a length the weights cannot have, however large, is a usage error,
+    # not a verdict
+    wf = tmp_path / "w.txt"
+    lf = tmp_path / "l.txt"
+    write_lines(wf, [3, 5, 7])
+    for lengths in ([1, 20000, 2], [1, 3, 2], [0, 1, 1], [1, -2, 2]):
+        write_lines(lf, lengths)
+        assert main(["verify", "--weights", str(wf), "--lengths", str(lf)]) == 2
+        assert "lengths must lie in 1..2" in capsys.readouterr().err
+    write_lines(wf, [4])
+    write_lines(lf, [2])
+    assert main(["verify", "--weights", str(wf), "--lengths", str(lf)]) == 2
+    assert "lengths must lie in 1..1" in capsys.readouterr().err
+
+
 def test_gen_families(tmp_path):
     out = tmp_path / "g.txt"
     assert main(["gen", "--family", "example41", "--n", "16", "--seed", "4",

@@ -7,6 +7,7 @@ from mrcode import (ComparisonCounter, ConstructionMode, LeafSlice, LevelState,
                     WeightList, assignment_from_lengths, code_cost,
                     construct_lengths, huffman_lengths, kraft_sum, monotone,
                     node_count, verify_exclusion)
+from mrcode import construct
 from mrcode.construct import PendingPool
 from oracles import WORKED_COST, WORKED_LENGTH_COUNTS, WORKED_VALUES
 
@@ -283,6 +284,65 @@ def test_sorted_and_unsorted_agree_on_cost():
         ps, stats = construct_lengths(ws, DETAILED)
         assert code_cost(w, pu) == code_cost(ws, ps)
         assert stats.iterations <= 2 * stats.distinct_lengths
+
+
+def test_presorted_lists_whose_indices_are_not_positions():
+    # sorting the items keeps each weight's input index, so positions and
+    # indices differ; the strict (value, index) order, and with it every
+    # tie-break, is that of the unsorted input, so the lengths, the
+    # iterations and the trace must be the unsorted construction's
+    rng = random.Random(64)
+    for _ in range(150):
+        values = _random_values(rng, n_max=120, v_max=rng.choice([2, 3, 6]))
+        w = WeightList.from_values(values)
+        p = WeightList(tuple(sorted(w.items)), sorted_flag=True)
+        best = code_cost(w, huffman_lengths(w))
+        for mode in (DETAILED, BASIC):
+            pu, su = construct_lengths(w, mode)
+            pp, sp = construct_lengths(p, mode)
+            assert pp.lengths == pu.lengths
+            assert (sp.iterations, sp.trace) == (su.iterations, su.trace)
+            assert code_cost(p, pp) == best
+
+
+def _assign_with_every_index(level, levels, pool):
+    """Reference four-candidate assignment: every node key carries its
+    smallest index, read by a scan whether or not a value ties."""
+    cnt = pool.cnt
+    first, rest = construct._rank_split(level, levels.slice(), 1, cnt)
+    keys = [(first.total_value(), first.min_index())]
+    if rest.n:
+        second, _ = construct._rank_split(level, rest, 1, cnt)
+        keys.append((second.total_value(), second.min_index()))
+    keys += [w for w in pool.two_smallest() if w is not None]
+    best, second_key = construct._two_smallest(keys, cnt)
+    taken = pool.take_below(best[0] + second_key[0])
+    levels.add(level, taken)
+    return taken
+
+
+def test_assignment_reads_indices_only_on_ties(monkeypatch):
+    # a node's index only breaks value ties, and a tie decides which
+    # comparisons the two-smallest scan makes; so looking indices up only
+    # on ties must leave every output and every count as they were
+    rng = random.Random(65)
+    cases = []
+    for _ in range(120):
+        w = WeightList.from_values(_random_values(rng, n_max=80, v_max=rng.choice([3, 6, 20])))
+        for weights in (w, w.sorted_copy(), WeightList(tuple(sorted(w.items)), sorted_flag=True)):
+            for mode in (DETAILED, BASIC):
+                cases.append((weights, mode))
+
+    def outcomes():
+        out = []
+        for weights, mode in cases:
+            profile, stats = construct_lengths(weights, mode)
+            out.append((profile.lengths, stats.iterations, stats.weight_comparisons, stats.trace))
+        return out
+
+    got = outcomes()
+    monkeypatch.setattr(construct, "_assign_to_level", _assign_with_every_index)
+    assert got == outcomes()
 
 
 def test_outputs_monotone_and_exclusion_verified():

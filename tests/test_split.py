@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -6,6 +7,7 @@ from mrcode import (ComparisonCounter, InvalidAssignmentError, LeafSlice,
                     WeightItem, WeightList, add_weights, cut,
                     find_splitting_all, find_splitting_internal,
                     find_t_largest, find_t_smallest, node_count)
+from mrcode.split import BLOCK, Store
 from oracles import (WORKED_VALUES, materialize, random_level_state,
                      split_fixture_state, splitting_rank_all)
 
@@ -252,6 +254,32 @@ def test_work_bound_scales_with_depth_and_size():
         find_splitting_all(max(state), slice_of(state), counter=cnt)
         total = sum(len(v) for v in state.values())
         assert cnt.count <= 32 * (4 ** depth) * total
+
+
+def test_block_range_sums():
+    # a presorted range sums whole blocks from the block prefix sums and
+    # the partial blocks at its ends weight by weight
+    rng = random.Random(64)
+    for size in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
+        arr = sorted(WeightItem(rng.randint(1, 10**6), i) for i in range(size))
+        ref = [0, *accumulate(it.value for it in arr)]
+        store = Store(arr, True)
+        for lo in range(size):
+            for hi in range(lo + 1, size + 1):
+                assert LeafSlice(store, {0: (lo, hi)}, hi - lo).total_value() == \
+                    ref[hi] - ref[lo]
+        if size == 1:
+            continue  # a slice of two levels needs two weights
+        for _ in range(200):
+            # one range inside each level's run, the runs ascending by level
+            cuts = sorted(rng.sample(range(1, size), rng.randint(1, 3)))
+            runs = {}
+            for lv, (a, b) in enumerate(zip([0, *cuts], [*cuts, size])):
+                lo = rng.randrange(a, b)
+                runs[lv] = (lo, rng.randint(lo + 1, b))
+            sl = LeafSlice(store, runs, sum(hi - lo for lo, hi in runs.values()))
+            assert sl.total_value() == sum(ref[hi] - ref[lo] for lo, hi in runs.values())
+            assert sl.total_value() == add_weights(sl.all_items())
 
 
 def test_presorted_slices_validate_order():
