@@ -110,7 +110,7 @@ class _Levels(Store):
     ascend with the level and tile ``arr[:pool.cur]``, so each run is one
     distinct codeword length.  In presorted mode the list never changes:
     the weights of each level are a run of the sorted input, and the
-    store's block prefix sums over the whole list are built once.  In
+    store's prefix sums over the whole list are built once.  In
     unsorted mode selections reorder a run in place, keeping every range's
     weights.  Changing the runs clears the query memo.
     """
@@ -344,7 +344,7 @@ def construct_lengths(weights: WeightList,
         for it in arr[lo:hi]:
             lengths[it[1]] = code_len
     profile = CodeLengthProfile(tuple(lengths))
-    k = len(levels.runs)
+    k = len(set(profile.lengths))
     if iterations > 2 * k:
         raise AssertionError(
             f"{iterations} assignment iterations exceed twice the {k} distinct lengths")

@@ -30,43 +30,26 @@ _value = itemgetter(0)
 _index = itemgetter(1)
 
 
-# Weights per block of a presorted store's prefix sums.
-BLOCK = 64
-
-
 class Store:
     """The list that every slice of one construction indexes.
 
     A presorted store, whose list is in (value, index) order, keeps in
-    ``psum`` the prefix sums of its values over blocks of `BLOCK` weights:
-    ``psum[j]`` is the total of ``arr[:j * BLOCK]``.  A range sum takes its
-    whole blocks from them and adds the at most two partial blocks at its
-    ends.  An unsorted store has ``psum`` None, and ``psum is not None`` is
-    the test for presorted.  ``memo`` maps the level and the sorted ranges
-    of a `_fsi` query to its result (each position lies in the run of one
-    level, so the ranges fix the levels); whoever changes which weights a
-    range holds must clear it.  ``hits`` counts the queries it answered.
+    ``psum`` the prefix sums of its values, built once: ``psum[j]`` is the
+    total of ``arr[:j]``, so a range sums in O(1).  An unsorted store has
+    ``psum`` None, and ``psum is not None`` is the test for presorted.
+    ``memo`` maps the level and the sorted ranges of a `_fsi` query to its
+    result (each position lies in the run of one level, so the ranges fix
+    the levels); whoever changes which weights a range holds must clear
+    it.  ``hits`` counts the queries it answered.
     """
 
     __slots__ = ("arr", "psum", "memo", "hits")
 
     def __init__(self, arr: list[WeightItem], presorted: bool):
         self.arr = arr
-        self.psum = None
-        if presorted:
-            blocks = (sum(map(_value, arr[i:i + BLOCK])) for i in range(0, len(arr), BLOCK))
-            self.psum = [0, *accumulate(blocks)]
+        self.psum = [0, *accumulate(map(_value, arr))] if presorted else None
         self.memo: dict[tuple, tuple] = {}
         self.hits = 0
-
-    def range_sum(self, lo: int, hi: int) -> int:
-        """Total value of ``arr[lo:hi]``."""
-        arr, ps = self.arr, self.psum
-        a, b = -(-lo // BLOCK), hi // BLOCK  # the whole blocks inside
-        if ps is None or a >= b:
-            return sum(map(_value, arr[lo:hi]))
-        return (ps[b] - ps[a] + sum(map(_value, arr[lo:a * BLOCK]))
-                + sum(map(_value, arr[b * BLOCK:hi])))
 
 
 class LeafSlice:
@@ -115,10 +98,15 @@ class LeafSlice:
         return out
 
     def total_value(self) -> int:
-        st = self.store
+        arr, ps = self.store.arr, self.store.psum
         total = 0
         for lo, hi in self.runs.values():
-            total += st.arr[lo][0] if hi - lo == 1 else st.range_sum(lo, hi)
+            if ps is not None:
+                total += ps[hi] - ps[lo]
+            elif hi - lo == 1:
+                total += arr[lo][0]
+            else:
+                total += sum(map(_value, arr[lo:hi]))
         return total
 
     def min_index(self) -> int:
