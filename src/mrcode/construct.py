@@ -1,11 +1,11 @@
-"""Construction drivers for minimum-redundancy codeword lengths.
+"""Construction of minimum-redundancy codeword lengths.
 
-Two drivers share the same split engine: a basic walk that visits tree
-levels one by one, and a detailed driver that jumps straight between the
-levels that actually receive leaves.  Both assign a weight to a level only
-while its value is below the sum of the two smallest-rank nodes there, and
-both keep the level populations consistent with a full binary tree by
-moving the largest-rank subtrees up.
+One pass loop serves both modes, which differ only in the level each pass
+assigns to: the basic mode steps one level up, and the detailed mode jumps
+straight to the next level that can receive leaves.  Each pass assigns a
+weight to a level only while its value is below the sum of the two
+smallest-rank nodes there, after keeping the level populations consistent
+with a full binary tree by moving the largest-rank subtrees up.
 """
 
 from __future__ import annotations
@@ -285,55 +285,34 @@ def construct_lengths(weights: WeightList,
 
     pool = PendingPool(weights.items, weights.sorted_flag, counter)
     levels = _Levels(pool)
-    trace: list[LevelTraceEntry] = []
-
-    assigned = _assign_level0(levels, pool)
-    trace.append(LevelTraceEntry(0, assigned, 0))
-    iterations = 1
+    trace = [LevelTraceEntry(0, _assign_level0(levels, pool), 0)]
     if iteration_hook:
         iteration_hook(levels.snapshot())
 
-    pending_moves = 0
-    passes = 0
+    detailed = mode.algorithm == "detailed"
+    level = pending_moves = passes = 0
     cap = 4 * n + 128
-    if mode.algorithm == "detailed":
-        while len(pool):
-            passes += 1
-            if passes > cap:
-                raise AssertionError("construction did not terminate")
-            top = levels.top()
-            nxt = _compute_next_level(top, levels, pool)
-            pending_moves += _maintain_kraft(top, nxt, levels, counter)
-            got = _assign_to_level(nxt, levels, pool)
-            if got:
-                iterations += 1
-                trace.append(LevelTraceEntry(nxt, got, pending_moves))
-                pending_moves = 0
-            if iteration_hook:
-                iteration_hook(levels.snapshot())
-    else:
-        eta = 0
-        while len(pool):
-            passes += 1
-            if passes > cap:
-                raise AssertionError("construction did not terminate")
-            sl = levels.slice()
-            m = _node_count(eta, sl)
-            if m % 2:
-                _, moved = _rank_split(eta, sl, m - 1, counter, m)
-                levels.apply_move(moved)
-                pending_moves += 1
-            got = _assign_to_level(eta + 1, levels, pool)
-            if got:
-                iterations += 1
-                trace.append(LevelTraceEntry(eta + 1, got, pending_moves))
-                pending_moves = 0
-            eta += 1
-            if iteration_hook:
-                iteration_hook(levels.snapshot())
+    while len(pool):
+        passes += 1
+        if passes > cap:
+            raise AssertionError("construction did not terminate")
+        if detailed:
+            level = levels.top()
+            nxt = _compute_next_level(level, levels, pool)
+        else:
+            nxt = level + 1
+        pending_moves += _maintain_kraft(level, nxt, levels, counter)
+        got = _assign_to_level(nxt, levels, pool)
+        if got:
+            trace.append(LevelTraceEntry(nxt, got, pending_moves))
+            pending_moves = 0
+        level = nxt
+        if iteration_hook:
+            iteration_hook(levels.snapshot())
 
     root, final_moves = _finish(levels, counter)
     trace.append(LevelTraceEntry(levels.top(), 0, final_moves))
+    iterations = len(trace) - 1
     if iteration_hook:
         iteration_hook(levels.snapshot())
 

@@ -7,6 +7,7 @@ codeword length of a weight at level ``eta`` is ``root_level - eta``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -84,8 +85,16 @@ class WeightList:
 
     @classmethod
     def from_values(cls, values: Iterable[int], sorted_flag: bool = False) -> "WeightList":
-        items = tuple(WeightItem(int(v), i) for i, v in enumerate(values))
-        return cls(items, sorted_flag)
+        """Weights tagged with their positions.  Each value must be an
+        integer (``int`` or any type with ``__index__``); anything else,
+        a float included, raises `TypeError` rather than being truncated."""
+        items = []
+        for i, v in enumerate(values):
+            try:
+                items.append(WeightItem(operator.index(v), i))
+            except TypeError:
+                raise TypeError(f"weight {v!r} is not an integer") from None
+        return cls(tuple(items), sorted_flag)
 
     def sorted_copy(self) -> "WeightList":
         """Same multiset, re-indexed in ascending value order, flagged sorted."""
@@ -150,14 +159,8 @@ class LevelState:
     def from_lists(cls, levels: Mapping[int, Sequence[WeightItem]]) -> "LevelState":
         return cls({lv: tuple(items) for lv, items in levels.items() if items})
 
-    def leaf_count(self, level: int) -> int:
-        return len(self.levels.get(level, ()))
-
     def top_level(self) -> int:
         return max(self.levels)
-
-    def total(self) -> int:
-        return sum(len(v) for v in self.levels.values())
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,14 @@ class ConstructionStats:
 
 
 def kraft_sum(lengths: Sequence[int] | CodeLengthProfile) -> Fraction:
-    """Exact dyadic value of sum(2^-l) over the profile; no floating point."""
+    """Exact dyadic value of sum(2^-l) over the profile; no floating point.
+
+    The numerator and denominator have about max(lengths) bits, so cost
+    and memory grow with the longest length, which this function does not
+    bound.  The lengths of an optimal code for n weights lie in
+    1..max(1, n - 1); `mrcode verify` and `unpack_container` reject any
+    length outside that range before a Kraft sum is taken.
+    """
     if isinstance(lengths, CodeLengthProfile):
         lengths = lengths.lengths
     if not lengths:

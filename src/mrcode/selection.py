@@ -2,8 +2,9 @@
 
 select_rank is deterministic worst-case-linear selection (median-of-medians
 with 5-element groups, 6-comparison group medians).  Every value comparison
-it performs is counted; presorted inputs are answered by index arithmetic
-with zero counted comparisons.
+it performs is counted.  It serves unsorted runs only: the split engine
+reads a presorted run's t-th smallest weight by position, without calling
+it.
 """
 
 from __future__ import annotations
@@ -124,19 +125,15 @@ def _select(items: list, t: int, cnt: ComparisonCounter):
 
 
 def select_rank(items: Sequence[WeightItem], t: int,
-                counter: ComparisonCounter | None = None,
-                presorted: bool = False):
+                counter: ComparisonCounter | None = None):
     """Return (t-th item in the strict order, smaller ranks, larger ranks).
 
     The two remainder lists partition the input minus the selected element.
     If the first j input items are its j smallest, so are the first j of
-    ``smaller + [item] + larger``.  Presorted inputs cost zero counted
-    comparisons.
+    ``smaller + [item] + larger``.
     """
     n = len(items)
     if not 1 <= t <= n:
         raise ValueError(f"rank {t} out of range 1..{n}")
-    if presorted:
-        return items[t - 1], list(items[:t - 1]), list(items[t:])
     cnt = counter if counter is not None else ComparisonCounter()
     return _select(items, t, cnt)

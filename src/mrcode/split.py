@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .core import ComparisonCounter, InvalidAssignmentError, LevelState, WeightItem
+from .core import ComparisonCounter, InvalidAssignmentError, WeightItem
 from .selection import select_rank
 
 _value = itemgetter(0)
@@ -79,10 +79,6 @@ class LeafSlice:
                 runs[lv] = (len(arr), len(arr) + len(items))
                 arr += items
         return cls(Store(arr, presorted), runs, len(arr))
-
-    @classmethod
-    def from_state(cls, state: LevelState, presorted: bool = False) -> "LeafSlice":
-        return cls.from_levels(state.levels, presorted)
 
     def levels(self) -> list[int]:
         return sorted(self.runs)

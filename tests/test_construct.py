@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -81,9 +82,9 @@ def worked_state_level2():
 
 def test_count_nodes_worked_example():
     w = worked_weights().items
-    assert node_count(0, LeafSlice.from_state(LevelState.from_lists({0: w[0:20]}))) == 20
-    assert node_count(1, LeafSlice.from_state(worked_state_level1())) == 15
-    assert node_count(2, LeafSlice.from_state(worked_state_level2())) == 13
+    assert node_count(0, LeafSlice.from_levels({0: w[0:20]})) == 20
+    assert node_count(1, LeafSlice.from_levels(worked_state_level1().levels)) == 15
+    assert node_count(2, LeafSlice.from_levels(worked_state_level2().levels)) == 13
 
 
 # --------------------------------------------------------------- next level
@@ -303,6 +304,44 @@ def test_presorted_lists_whose_indices_are_not_positions():
             assert pp.lengths == pu.lengths
             assert (sp.iterations, sp.trace) == (su.iterations, su.trace)
             assert code_cost(p, pp) == best
+
+
+_IDENTITY_DIGEST = {
+    "unsorted": "a8d74e097b00e96b73ea13ad22c99310f15b3be0f293278c1fa8cd305470a69b",
+    "sorted": "04e1d1d851aff817101647c109bb443e9516071f4c0c98f836ff4e42fd5e1424",
+    "nonpositional": "a8d74e097b00e96b73ea13ad22c99310f15b3be0f293278c1fa8cd305470a69b",
+}
+
+_IDENTITY_COMPARISONS = {
+    ("detailed", "unsorted"): 60750, ("detailed", "sorted"): 7654,
+    ("detailed", "nonpositional"): 8258,
+    ("basic", "unsorted"): 53646, ("basic", "sorted"): 6102,
+    ("basic", "nonpositional"): 6606,
+}
+
+
+@pytest.mark.parametrize("algo, kind", sorted(_IDENTITY_COMPARISONS))
+def test_identity_corpus(algo, kind):
+    # 100 random lists with heavy ties, each as given, as its sorted copy
+    # and as a presorted list whose indices are not positions.  Profiles,
+    # iterations and traces never change: the digest pins them.  It does
+    # not depend on the driver, and the non-positional list builds what
+    # the input builds.  The comparison totals are exact; a change that
+    # lowers them updates these pins and records the old and new numbers
+    # in CHANGES.md
+    rng = random.Random(67)
+    digest = hashlib.sha256()
+    total = 0
+    for _ in range(100):
+        w = WeightList.from_values(_random_values(rng, n_max=80, v_max=rng.choice([2, 3, 6, 20])))
+        weights = {"unsorted": w, "sorted": w.sorted_copy(),
+                   "nonpositional": WeightList(tuple(sorted(w.items)), sorted_flag=True)}[kind]
+        profile, stats = construct_lengths(weights, ConstructionMode(algo))
+        digest.update(repr((profile.lengths, stats.iterations,
+                            [tuple(e) for e in stats.trace])).encode())
+        total += stats.weight_comparisons
+    assert digest.hexdigest() == _IDENTITY_DIGEST[kind]
+    assert total == _IDENTITY_COMPARISONS[algo, kind]
 
 
 def _assign_with_every_index(level, levels, pool):

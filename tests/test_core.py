@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -74,6 +76,23 @@ def test_weight_list_validation():
         WeightList.from_values([3, 1, 2], sorted_flag=True)
     with pytest.raises(ValueError):
         WeightList((WeightItem(1, 0), WeightItem(1, 0)))
+
+
+class IntLike:
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
+def test_weight_list_rejects_non_integers():
+    # a float, str or Decimal is rejected, not truncated: 2.7 would read
+    # as 2, and 0.5 as the out-of-range weight 0
+    for bad in (2.7, 0.5, "4", Decimal(3)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            WeightList.from_values([1, bad])
+    assert WeightList.from_values([True, 2, IntLike(5)]).values() == [1, 2, 5]
 
 
 def test_sorted_copy():

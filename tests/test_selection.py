@@ -90,16 +90,6 @@ def test_small_selection_counts_insertion_sort():
             assert cnt.count == _insertion_sort_comparisons(items), values
 
 
-def test_presorted_is_comparison_free():
-    items = items_of(sorted([4, 1, 1, 9, 2]))
-    # re-index positions so the list is in strict order
-    items = [WeightItem(it.value, i) for i, it in enumerate(items)]
-    cnt = ComparisonCounter()
-    e, lo, hi = select_rank(items, 3, cnt, presorted=True)
-    assert cnt.count == 0
-    assert e == items[2] and lo == items[:2] and hi == items[3:]
-
-
 def _cuts(items):
     """Every j for which the first j items are the j smallest."""
     suffix_min = items[-1:]
