@@ -1,8 +1,10 @@
 """Command-line interface: length construction, verification, generators,
 benchmarks, and the bit codec.
 
-Exit codes: 0 on success, 1 on verification failure, 2 on usage or parse
-errors.  Weight files hold one positive decimal integer per line; length
+Exit codes: 0 on success; 1 when `verify` or `bench` finds a code that is
+not optimal; 2 on every usage, parse or file error, printed as one line
+``mrcode: error: <file>: <reason>``.  The rules an input must meet are the
+library's.  Weight files hold one positive decimal integer per line; length
 files one integer per line, aligned with the weight file.
 """
 
@@ -13,7 +15,6 @@ import statistics
 import sys
 import time
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import codec, generators
 from .core import (CodeLengthProfile, ComparisonCounter, WeightList,
@@ -22,36 +23,28 @@ from .construct import ConstructionMode, construct_lengths
 from .oracle import huffman_lengths, huffman_sorted_lengths
 
 
-class _ParseFailure(Exception):
-    pass
-
-
-def _read_int_lines(path: str, what: str) -> list[int]:
+def _read_int_lines(path: str) -> list[int]:
     out = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(int(line))
-                except ValueError:
-                    raise _ParseFailure(f"{path}:{lineno}: not an integer: {line!r}")
-    except OSError as exc:
-        raise _ParseFailure(f"{path}: {exc.strerror}")
-    if not out:
-        raise _ParseFailure(f"{path}: no {what} found")
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(int(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not an integer: {line!r}") from None
     return out
 
 
 def _read_weights(path: str, presorted: bool) -> WeightList:
-    values = _read_int_lines(path, "weights")
-    if any(v < 1 for v in values):
-        raise _ParseFailure(f"{path}: weights must be positive")
-    if presorted and any(b < a for a, b in zip(values, values[1:])):
-        raise _ParseFailure(f"{path}: --sorted given but the file is not sorted")
-    return WeightList.from_values(values, sorted_flag=presorted)
+    values = _read_int_lines(path)
+    if not values:
+        raise ValueError(f"{path}: no weights found")
+    try:
+        return WeightList.from_values(values, sorted_flag=presorted)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_lines(path: str | None, lines) -> None:
@@ -65,26 +58,21 @@ def _write_lines(path: str | None, lines) -> None:
 
 def _run_algo(algo: str, weights: WeightList):
     """Returns (profile, stats-or-None, elapsed ns, comparisons-or-None)."""
-    if algo in ("detailed", "basic"):
-        t0 = time.perf_counter_ns()
-        profile, stats = construct_lengths(weights, ConstructionMode(algo))
-        dt = time.perf_counter_ns() - t0
-        return profile, stats, dt, stats.weight_comparisons
+    if algo == "two-queue" and not weights.sorted_flag:
+        # sort but keep original indices so output stays in input order
+        weights = WeightList(tuple(sorted(weights.items)), sorted_flag=True)
+    cnt = ComparisonCounter()
+    t0 = time.perf_counter_ns()
     if algo == "huffman":
-        t0 = time.perf_counter_ns()
-        profile = huffman_lengths(weights)
-        dt = time.perf_counter_ns() - t0
+        profile, stats = huffman_lengths(weights), None
+    elif algo == "two-queue":
+        profile, stats = huffman_sorted_lengths(weights, cnt), None
+    else:
+        profile, stats = construct_lengths(weights, ConstructionMode(algo))
+    dt = time.perf_counter_ns() - t0
+    if algo == "huffman":
         return profile, None, dt, None
-    if algo == "two-queue":
-        if not weights.sorted_flag:
-            # sort but keep original indices so output stays in input order
-            weights = WeightList(tuple(sorted(weights.items)), sorted_flag=True)
-        cnt = ComparisonCounter()
-        t0 = time.perf_counter_ns()
-        profile = huffman_sorted_lengths(weights, cnt)
-        dt = time.perf_counter_ns() - t0
-        return profile, None, dt, cnt.count
-    raise _ParseFailure(f"unknown algorithm {algo!r}")
+    return profile, stats, dt, stats.weight_comparisons if stats else cnt.count
 
 
 def cmd_lengths(args) -> int:
@@ -105,27 +93,26 @@ def cmd_lengths(args) -> int:
 
 def cmd_verify(args) -> int:
     weights = _read_weights(args.weights, False)
-    lengths = _read_int_lines(args.lengths, "lengths")
+    lengths = _read_int_lines(args.lengths)
     if len(lengths) != len(weights):
-        raise _ParseFailure(
+        raise ValueError(
             f"{args.lengths}: {len(lengths)} lengths for {len(weights)} weights")
     # a complete code on n >= 2 symbols has no codeword longer than n - 1
     bound = max(1, len(weights) - 1)
     if min(lengths) < 1 or max(lengths) > bound:
-        raise _ParseFailure(f"{args.lengths}: lengths must lie in 1..{bound}")
+        raise ValueError(f"{args.lengths}: lengths must lie in 1..{bound}")
     profile = CodeLengthProfile(tuple(lengths))
     ks = kraft_sum(profile)
     cost = code_cost(weights, profile)
     mono = monotone(weights, profile)
     oracle_cost = code_cost(weights, huffman_lengths(weights))
     expected = Fraction(1, 2) if len(weights) == 1 else Fraction(1)
-    ok = ks == expected and mono and cost == oracle_cost
+    optimal = ks == expected and cost == oracle_cost
     print(f"kraft={ks}")
     print(f"cost={cost}")
     print(f"monotone={'yes' if mono else 'no'}")
-    print(f"optimal={'yes' if cost == oracle_cost and ks == expected else 'no'}"
-          f" (oracle cost {oracle_cost})")
-    return 0 if ok else 1
+    print(f"optimal={'yes' if optimal else 'no'} (oracle cost {oracle_cost})")
+    return 0 if optimal and mono else 1
 
 
 def cmd_gen(args) -> int:
@@ -136,14 +123,13 @@ def cmd_gen(args) -> int:
 
 def cmd_encode(args) -> int:
     weights = _read_weights(args.weights, False)
-    symbols = _read_int_lines(args.infile, "symbols") if _has_content(args.infile) else []
-    n = len(weights)
-    for s in symbols:
-        if not 0 <= s < n:
-            raise _ParseFailure(f"{args.infile}: symbol {s} outside 0..{n - 1}")
+    symbols = _read_int_lines(args.infile)
     profile, _ = construct_lengths(weights, ConstructionMode("detailed"))
     table = codec.canonical_codes(profile)
-    payload, bits = codec.encode(symbols, table)
+    try:
+        payload, bits = codec.encode(symbols, table)
+    except ValueError as exc:
+        raise ValueError(f"{args.infile}: {exc}") from None
     blob = codec.pack_container(profile.lengths, payload, bits)
     with open(args.out, "wb") as fh:
         fh.write(blob)
@@ -151,41 +137,17 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _has_content(path: str) -> bool:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return any(line.strip() for line in fh)
-    except OSError as exc:
-        raise _ParseFailure(f"{path}: {exc.strerror}")
-
-
 def cmd_decode(args) -> int:
-    try:
-        with open(args.infile, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise _ParseFailure(f"{args.infile}: {exc.strerror}")
+    with open(args.infile, "rb") as fh:
+        blob = fh.read()
     try:
         lengths, payload, bits = codec.unpack_container(blob)
         table = codec.canonical_codes(CodeLengthProfile(tuple(lengths)))
         symbols = codec.decode(payload, bits, table)
     except ValueError as exc:
-        raise _ParseFailure(f"{args.infile}: {exc}")
+        raise ValueError(f"{args.infile}: {exc}") from None
     _write_lines(args.out, symbols)
     return 0
-
-
-class BenchRecord(NamedTuple):
-    """One benchmark run; `k` is the measured distinct-length count and
-    iterations never exceeds twice that."""
-
-    family: str
-    n: int
-    k: int
-    mode: str
-    time_ns: int
-    comparisons: int
-    iterations: int
 
 
 def _bench_modes(mode_list: str):
@@ -196,7 +158,7 @@ def _bench_modes(mode_list: str):
         base = mode[:-len("-sorted")] if mode.endswith("-sorted") else mode
         presorted = mode.endswith("-sorted") or base == "two-queue"
         if base not in ("detailed", "basic", "huffman", "two-queue"):
-            raise _ParseFailure(f"unknown mode {mode!r}")
+            raise ValueError(f"unknown mode {mode!r}")
         yield mode, base, presorted
 
 
@@ -205,15 +167,22 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     modes = list(_bench_modes(args.modes))
     rows = []
+    status = 0
     for family in families:
         for n in sizes:
             values = generators.generate(family, n, args.seed)
             for mode, base, presorted in modes:
                 wl = (WeightList.from_values(sorted(values), sorted_flag=True)
                       if presorted else WeightList.from_values(values))
-                for _ in range(args.repeat):
+                optimal = code_cost(wl, huffman_lengths(wl))
+                for rep in range(args.repeat):
                     profile, stats, dt, comparisons = _run_algo(base, wl)
-                    rows.append(BenchRecord(
+                    cost = code_cost(wl, profile) if rep == 0 else optimal
+                    if cost != optimal:
+                        print(f"mrcode: error: bench {family} n={len(values)} {mode}: "
+                              f"cost {cost}, optimal {optimal}", file=sys.stderr)
+                        status = 1
+                    rows.append((
                         family, len(values), distinct_length_count(profile),
                         mode, dt, comparisons if comparisons is not None else 0,
                         stats.iterations if stats else 0))
@@ -234,7 +203,7 @@ def cmd_bench(args) -> int:
     if args.out and args.out != "-":
         base = args.out[:-4] if args.out.endswith(".csv") else args.out
         _write_lines(base + ".medians.csv", med_lines)
-    return 0
+    return status
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -290,15 +259,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _ParseFailure as exc:
-        print(f"mrcode: error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"mrcode: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"mrcode: error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -132,8 +132,11 @@ def decode(payload: bytes, bit_count: int, table: CanonicalTable) -> list[int]:
 
 def pack_container(lengths: Sequence[int], payload: bytes, bit_count: int) -> bytes:
     out = bytearray(MAGIC)
-    out += struct.pack(f"<Q{len(lengths)}H", len(lengths), *lengths)
-    out += struct.pack("<Q", bit_count)
+    try:
+        out += struct.pack(f"<Q{len(lengths)}H", len(lengths), *lengths)
+        out += struct.pack("<Q", bit_count)
+    except struct.error as exc:
+        raise ContainerFormatError(f"cannot pack the container: {exc}") from None
     out += payload
     return bytes(out)
 

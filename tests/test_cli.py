@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from mrcode import WeightList, construct_lengths, huffman_lengths
+from mrcode import (CodeLengthProfile, WeightList, construct_lengths,
+                    huffman_lengths)
 from mrcode.cli import main
 from oracles import WORKED_VALUES
 
@@ -67,6 +68,31 @@ def test_parse_error_reports_line(tmp_path, capsys):
     wf.write_text("3\nfoo\n")
     assert main(["lengths", "--in", str(wf)]) == 2
     assert "2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["lengths", "--in", "{zero}"], "{zero}", id="zero-weight"),
+    pytest.param(["lengths", "--in", "{empty}"], "{empty}", id="empty-weight-file"),
+    pytest.param(["lengths", "--in", "{missing}"], "{missing}", id="missing-input"),
+    pytest.param(["lengths", "--in", "{w}", "--out", "{nodir}"], "{nodir}",
+                 id="lengths-unwritable-out"),
+    pytest.param(["encode", "--weights", "{w}", "--in", "{sym}", "--out", "{nodir}"],
+                 "{nodir}", id="encode-unwritable-out"),
+    pytest.param(["gen", "--family", "equal", "--n", "4", "--out", "{nodir}"],
+                 "{nodir}", id="gen-unwritable-out"),
+])
+def test_malformed_input_exits_2_naming_the_file(argv, named, tmp_path, capsys):
+    paths = {name: str(tmp_path / f"{name}.txt")
+             for name in ("zero", "empty", "missing", "w", "sym")}
+    paths["nodir"] = str(tmp_path / "no-such-dir" / "out")
+    write_lines(tmp_path / "zero.txt", [3, 0, 2])
+    write_lines(tmp_path / "empty.txt", [])
+    write_lines(tmp_path / "w.txt", [3, 1, 2])
+    write_lines(tmp_path / "sym.txt", [0, 1, 2])
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mrcode: error: {named.format(**paths)}: ")
+    assert err.count("\n") == 1
 
 
 def test_verify_rejects_tampering(tmp_path, capsys):
@@ -190,6 +216,28 @@ def test_bench_csv_schema(tmp_path):
     medians = (tmp_path / "bench.medians.csv").read_text().strip().splitlines()
     assert medians[0].startswith("family,n,k,mode,median_time_ns")
     assert len(medians) == 1 + 2 * 2 * 4
+
+
+def test_bench_rejects_a_row_that_is_not_optimal(tmp_path, monkeypatch, capsys):
+    # a construction that swaps the lengths of the smallest and largest
+    # weight is fast but wrong; bench still writes its rows, then exits 1
+    def swapped(weights, mode):
+        profile, stats = construct_lengths(weights, mode)
+        values = weights.values()
+        lo, hi = values.index(min(values)), values.index(max(values))
+        lengths = list(profile.lengths)
+        lengths[lo], lengths[hi] = lengths[hi], lengths[lo]
+        return CodeLengthProfile(tuple(lengths)), stats
+
+    monkeypatch.setattr("mrcode.cli.construct_lengths", swapped)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--families", "exponential", "--sizes", "8",
+                 "--modes", "detailed", "--repeat", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mrcode: error: bench exponential n=8 detailed: cost ")
+    assert err.count("\n") == 1
+    assert len(out.read_text().splitlines()) == 3
+    assert len((tmp_path / "bench.medians.csv").read_text().splitlines()) == 2
 
 
 def test_bench_family_profiles(tmp_path):

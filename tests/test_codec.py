@@ -89,6 +89,8 @@ def test_truncated_stream_detected():
         decode(payload, bits - 1, t)
     with pytest.raises(DecodeError):
         decode(payload[:-1] if len(payload) > 1 else b"", bits, t)
+    with pytest.raises(DecodeError, match="bit run exceeds the longest codeword"):
+        decode(b"\xc0", 2, canonical_codes(CodeLengthProfile((1,))))
 
 
 def test_symbol_outside_table():
@@ -150,7 +152,7 @@ def test_container_rejects_nonzero_pad_bits():
 
 
 def test_container_rejects_length_out_of_range():
-    for lengths in ([0, 1], [1, 0, 2], [1, 2, 3], [2], [60000]):
+    for lengths in ([0, 1], [1, 0, 2], [1, 2, 3], [2], [60000], [70000], [-1]):
         with pytest.raises(ContainerFormatError):
             unpack_container(pack_container(lengths, b"", 0))
     with pytest.raises(ContainerFormatError):

@@ -76,6 +76,8 @@ def test_weight_list_validation():
         WeightList.from_values([3, 1, 2], sorted_flag=True)
     with pytest.raises(ValueError):
         WeightList((WeightItem(1, 0), WeightItem(1, 0)))
+    with pytest.raises(ValueError, match="cover 0..n-1"):
+        WeightList((WeightItem(1, 1),))
 
 
 class IntLike:
