@@ -18,22 +18,26 @@ from fractions import Fraction
 
 from . import codec, generators
 from .core import (CodeLengthProfile, ComparisonCounter, WeightList,
-                   code_cost, distinct_length_count, kraft_sum, monotone)
+                   check_length_range, code_cost, distinct_length_count,
+                   kraft_sum, monotone)
 from .construct import ConstructionMode, construct_lengths
 from .oracle import huffman_lengths, huffman_sorted_lengths
 
 
 def _read_int_lines(path: str) -> list[int]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not an integer: {line!r}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    out.append(int(line))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: not an integer: {line!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return out
 
 
@@ -97,10 +101,10 @@ def cmd_verify(args) -> int:
     if len(lengths) != len(weights):
         raise ValueError(
             f"{args.lengths}: {len(lengths)} lengths for {len(weights)} weights")
-    # a complete code on n >= 2 symbols has no codeword longer than n - 1
-    bound = max(1, len(weights) - 1)
-    if min(lengths) < 1 or max(lengths) > bound:
-        raise ValueError(f"{args.lengths}: lengths must lie in 1..{bound}")
+    try:
+        check_length_range(lengths, len(weights))
+    except ValueError as exc:
+        raise ValueError(f"{args.lengths}: {exc}") from None
     profile = CodeLengthProfile(tuple(lengths))
     ks = kraft_sum(profile)
     cost = code_cost(weights, profile)

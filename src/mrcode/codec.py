@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import CodeLengthProfile
+from .core import CodeLengthProfile, check_length_range
 
 MAGIC = b"PFX1"
 
@@ -157,9 +157,10 @@ def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
     if n == 0:
         raise ContainerFormatError("no codeword lengths")
     lengths = list(struct.unpack_from(f"<{n}H", blob, off))
-    top = max(lengths)
-    if min(lengths) < 1 or top > max(1, n - 1):
-        raise ContainerFormatError(f"codeword lengths must lie in 1..{max(1, n - 1)}")
+    try:
+        top = check_length_range(lengths, n)
+    except ValueError as exc:
+        raise ContainerFormatError(f"codeword {exc}") from None
     if n >= 2 and sum(c << (top - l) for l, c in Counter(lengths).items()) != 1 << top:
         raise ContainerFormatError("codeword lengths do not have Kraft sum 1")
     off += 2 * n

@@ -112,7 +112,10 @@ class _Levels(Store):
     the weights of each level are a run of the sorted input, and the
     store's prefix sums over the whole list are built once.  In
     unsorted mode selections reorder a run in place, keeping every range's
-    weights.  Changing the runs clears the query memo.
+    weights.  `add` appends weights that rank above the level's leaves and
+    `apply_move` hands a level, at its low end, weights that rank below
+    its leaves, so the query memo stays valid for the whole construction;
+    `construct_lengths` clears it on return.
     """
 
     __slots__ = ("runs",)
@@ -129,7 +132,6 @@ class _Levels(Store):
         the top level or above it."""
         if not count:
             return
-        self.memo.clear()
         runs = self.runs
         end = runs[self.top()][1] if runs else 0
         lo = runs[level][0] if level in runs else end
@@ -150,7 +152,6 @@ class _Levels(Store):
         they end its run; they start the run of ``lv + 1``, and only the
         cut between the two runs moves.
         """
-        self.memo.clear()
         runs = self.runs
         for lv in sorted(moved.runs, reverse=True):
             cut, end = moved.runs[lv]
@@ -311,6 +312,7 @@ def construct_lengths(weights: WeightList,
             iteration_hook(levels.snapshot())
 
     root, final_moves = _finish(levels, counter)
+    levels.memo.clear()  # its slices point back at `levels`
     trace.append(LevelTraceEntry(levels.top(), 0, final_moves))
     iterations = len(trace) - 1
     if iteration_hook:

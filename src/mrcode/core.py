@@ -172,7 +172,8 @@ class ConstructionStats:
     (level, weights assigned, subtrees moved up by the preceding Kraft
     fix-up) plus a final entry for the terminal power-of-two adjustment.
     ``cache_hits`` counts internal splitting queries answered from the
-    memo of the current level state, which make no comparison.
+    construction's memo, which lasts the whole run; a hit makes no
+    comparison.
     """
 
     iterations: int
@@ -187,9 +188,8 @@ def kraft_sum(lengths: Sequence[int] | CodeLengthProfile) -> Fraction:
 
     The numerator and denominator have about max(lengths) bits, so cost
     and memory grow with the longest length, which this function does not
-    bound.  The lengths of an optimal code for n weights lie in
-    1..max(1, n - 1); `mrcode verify` and `unpack_container` reject any
-    length outside that range before a Kraft sum is taken.
+    bound.  `mrcode verify` and `unpack_container` bound the lengths with
+    `check_length_range` before they take a Kraft sum.
     """
     if isinstance(lengths, CodeLengthProfile):
         lengths = lengths.lengths
@@ -200,6 +200,17 @@ def kraft_sum(lengths: Sequence[int] | CodeLengthProfile) -> Fraction:
     top = max(lengths)
     num = sum(1 << (top - l) for l in lengths)
     return Fraction(num, 1 << top)
+
+
+def check_length_range(lengths: Sequence[int], n: int) -> int:
+    """The longest length; raises `ValueError` unless every length lies in
+    1..max(1, n - 1), the range of an optimal code for n weights: a
+    complete code on n >= 2 symbols has no codeword longer than n - 1."""
+    bound = max(1, n - 1)
+    top = max(lengths)
+    if min(lengths) < 1 or top > bound:
+        raise ValueError(f"lengths must lie in 1..{bound}")
+    return top
 
 
 def code_cost(weights: WeightList, lengths: CodeLengthProfile) -> int:

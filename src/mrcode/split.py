@@ -12,8 +12,14 @@ level are leaves of consecutive rank, so a slice is one range per level.
 That takes every range handed out to hold exactly the weights of its rank
 range: presorted runs are sorted, and an unsorted selection partitions its
 window in place without moving a weight across any earlier range boundary.
-Internal splitting queries are memoized by (level, ranges) on the list's
-`Store` until the level state changes.
+Internal splitting queries are memoized on the list's `Store` for the
+whole construction, keyed by the context level and the slice's ranges,
+each with its level.  A construction changes its runs only at their ends
+and in rank order: an assignment appends weights that rank above the
+level's leaves, and a Kraft move hands the next level, at its low end,
+weights that rank below its leaves.  So every boundary handed out stays a
+rank boundary of its run, later selections keep it, and every range keeps
+its weights; a range whose weights a move raises keys a new entry.
 """
 
 from __future__ import annotations
@@ -37,9 +43,10 @@ class Store:
     ``psum`` the prefix sums of its values, built once: ``psum[j]`` is the
     total of ``arr[:j]``, so a range sums in O(1).  An unsorted store has
     ``psum`` None, and ``psum is not None`` is the test for presorted.
-    ``memo`` maps the level and the sorted ranges of a `_fsi` query to its
-    result (each position lies in the run of one level, so the ranges fix
-    the levels); whoever changes which weights a range holds must clear
+    ``memo`` maps the level of a `_fsi` query and its ranges, each with
+    its level, to the result, for as long as the store lives (the module
+    docstring says why the ranges keep their weights).  Cached slices
+    point back at the store, so its owner clears the memo when done with
     it.  ``hits`` counts the queries it answered.
     """
 
@@ -364,7 +371,8 @@ def _fsi(level: int, sl: LeafSlice, cnt: ComparisonCounter):
     smallest `span - off - 1` nodes above join the chosen one.
 
     This is the query the recursion ``_locate -> _fsi -> _fsa -> _locate``
-    repeats, so its results are memoized until the level state changes.
+    repeats, so its results are memoized for the store's lifetime, keyed
+    by the context level and the slice's ranges with their levels.
     """
     if not sl.runs:
         raise ValueError("empty slice")
@@ -372,7 +380,7 @@ def _fsi(level: int, sl: LeafSlice, cnt: ComparisonCounter):
     if h >= level:
         raise InvalidAssignmentError(f"slice holds weights at or above level {level}")
     st = sl.store
-    key = (level, *sorted(sl.runs.values()))
+    key = (level, *sorted(sl.runs.items()))
     out = st.memo.get(key)
     if out is not None:
         st.hits += 1

@@ -74,6 +74,9 @@ def test_parse_error_reports_line(tmp_path, capsys):
     pytest.param(["lengths", "--in", "{zero}"], "{zero}", id="zero-weight"),
     pytest.param(["lengths", "--in", "{empty}"], "{empty}", id="empty-weight-file"),
     pytest.param(["lengths", "--in", "{missing}"], "{missing}", id="missing-input"),
+    pytest.param(["lengths", "--in", "{binary}"], "{binary}", id="weights-not-utf-8"),
+    pytest.param(["verify", "--weights", "{w}", "--lengths", "{binary}"], "{binary}",
+                 id="lengths-not-utf-8"),
     pytest.param(["lengths", "--in", "{w}", "--out", "{nodir}"], "{nodir}",
                  id="lengths-unwritable-out"),
     pytest.param(["encode", "--weights", "{w}", "--in", "{sym}", "--out", "{nodir}"],
@@ -83,12 +86,13 @@ def test_parse_error_reports_line(tmp_path, capsys):
 ])
 def test_malformed_input_exits_2_naming_the_file(argv, named, tmp_path, capsys):
     paths = {name: str(tmp_path / f"{name}.txt")
-             for name in ("zero", "empty", "missing", "w", "sym")}
+             for name in ("zero", "empty", "missing", "w", "sym", "binary")}
     paths["nodir"] = str(tmp_path / "no-such-dir" / "out")
     write_lines(tmp_path / "zero.txt", [3, 0, 2])
     write_lines(tmp_path / "empty.txt", [])
     write_lines(tmp_path / "w.txt", [3, 1, 2])
     write_lines(tmp_path / "sym.txt", [0, 1, 2])
+    (tmp_path / "binary.txt").write_bytes(b"\xff3\n1\n")
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"mrcode: error: {named.format(**paths)}: ")

@@ -155,6 +155,8 @@ def test_container_rejects_length_out_of_range():
     for lengths in ([0, 1], [1, 0, 2], [1, 2, 3], [2], [60000], [70000], [-1]):
         with pytest.raises(ContainerFormatError):
             unpack_container(pack_container(lengths, b"", 0))
+    with pytest.raises(ContainerFormatError, match=r"^codeword lengths must lie in 1\.\.2$"):
+        unpack_container(pack_container([1, 3, 2], b"", 0))
     with pytest.raises(ContainerFormatError):
         unpack_container(pack_container([], b"", 0))
 

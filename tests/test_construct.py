@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -8,7 +9,7 @@ from mrcode import (ComparisonCounter, ConstructionMode, LeafSlice, LevelState,
                     WeightList, assignment_from_lengths, code_cost,
                     construct_lengths, huffman_lengths, kraft_sum, monotone,
                     node_count, verify_exclusion)
-from mrcode import construct
+from mrcode import construct, generators, split
 from mrcode.construct import PendingPool
 from oracles import WORKED_COST, WORKED_LENGTH_COUNTS, WORKED_VALUES
 
@@ -224,8 +225,8 @@ def test_comparison_counting_toggle():
 
 
 @pytest.mark.parametrize("algo, presorted, expected", [
-    ("detailed", False, 437), ("detailed", True, 68),
-    ("basic", False, 361), ("basic", True, 55),
+    ("detailed", False, 399), ("detailed", True, 68),
+    ("basic", False, 336), ("basic", True, 55),
 ])
 def test_worked_example_comparison_counts(algo, presorted, expected):
     # exact counts: a change that lowers them updates these pins and
@@ -306,6 +307,24 @@ def test_presorted_lists_whose_indices_are_not_positions():
             assert code_cost(p, pp) == best
 
 
+def _identity_lists():
+    """The 100 random lists, with heavy ties, of the identity corpus."""
+    rng = random.Random(67)
+    for _ in range(100):
+        yield _random_values(rng, n_max=80, v_max=rng.choice([2, 3, 6, 20]))
+
+
+def _as_kind(values, kind):
+    """The weights as given, as their sorted copy, or as a presorted list
+    whose indices are not positions."""
+    w = WeightList.from_values(values)
+    if kind == "sorted":
+        return w.sorted_copy()
+    if kind == "nonpositional":
+        return WeightList(tuple(sorted(w.items)), sorted_flag=True)
+    return w
+
+
 _IDENTITY_DIGEST = {
     "unsorted": "a8d74e097b00e96b73ea13ad22c99310f15b3be0f293278c1fa8cd305470a69b",
     "sorted": "04e1d1d851aff817101647c109bb443e9516071f4c0c98f836ff4e42fd5e1424",
@@ -313,10 +332,10 @@ _IDENTITY_DIGEST = {
 }
 
 _IDENTITY_COMPARISONS = {
-    ("detailed", "unsorted"): 60750, ("detailed", "sorted"): 7654,
-    ("detailed", "nonpositional"): 8258,
-    ("basic", "unsorted"): 53646, ("basic", "sorted"): 6102,
-    ("basic", "nonpositional"): 6606,
+    ("detailed", "unsorted"): 53581, ("detailed", "sorted"): 6711,
+    ("detailed", "nonpositional"): 7199,
+    ("basic", "unsorted"): 47132, ("basic", "sorted"): 5280,
+    ("basic", "nonpositional"): 5674,
 }
 
 
@@ -329,19 +348,141 @@ def test_identity_corpus(algo, kind):
     # the input builds.  The comparison totals are exact; a change that
     # lowers them updates these pins and records the old and new numbers
     # in CHANGES.md
-    rng = random.Random(67)
     digest = hashlib.sha256()
     total = 0
-    for _ in range(100):
-        w = WeightList.from_values(_random_values(rng, n_max=80, v_max=rng.choice([2, 3, 6, 20])))
-        weights = {"unsorted": w, "sorted": w.sorted_copy(),
-                   "nonpositional": WeightList(tuple(sorted(w.items)), sorted_flag=True)}[kind]
-        profile, stats = construct_lengths(weights, ConstructionMode(algo))
+    for values in _identity_lists():
+        profile, stats = construct_lengths(_as_kind(values, kind), ConstructionMode(algo))
         digest.update(repr((profile.lengths, stats.iterations,
                             [tuple(e) for e in stats.trace])).encode())
         total += stats.weight_comparisons
     assert digest.hexdigest() == _IDENTITY_DIGEST[kind]
     assert total == _IDENTITY_COMPARISONS[algo, kind]
+
+
+def _fibonacci_92():
+    """The first 92 Fibonacci numbers (the last below 2^63), shuffled."""
+    fib = [1, 1]
+    while len(fib) < 92:
+        fib.append(fib[-1] + fib[-2])
+    random.Random(92).shuffle(fib)
+    return fib
+
+
+def _memo_corpus():
+    yield from _identity_lists()
+    for family, n in (("geometric", 1024), ("uniform", 1024), ("two-cluster", 256),
+                      ("exponential", 62)):
+        yield generators.generate(family, n, 0)
+    yield _fibonacci_92()
+
+
+def test_memo_never_answers_from_changed_ranges(monkeypatch):
+    # the internal-split memo lives for the whole construction, across
+    # assignments and Kraft moves; on every hit, the queried ranges and
+    # every range of the cached result must hold, level by level, the
+    # weights they held when the entry was stored
+    real = split._fsi
+    stored = {}  # id of a result tuple -> (the tuple, what it saw when stored)
+    hits = 0
+
+    def weights_by_level(sl):
+        arr = sl.store.arr
+        return {lv: frozenset(arr[lo:hi]) for lv, (lo, hi) in sl.runs.items()}
+
+    def checked_fsi(level, sl, cnt):
+        nonlocal hits
+        out = real(level, sl, cnt)
+        seen = (level, [weights_by_level(x) for x in (sl, *out[1:])])
+        if id(out) in stored:  # a tuple handed out before: a memo hit
+            hits += 1
+            assert seen == stored[id(out)][1], f"stale memo entry at level {level}"
+        else:
+            stored[id(out)] = out, seen
+        return out
+
+    monkeypatch.setattr(split, "_fsi", checked_fsi)
+    for values in _memo_corpus():
+        for kind in ("unsorted", "sorted", "nonpositional"):
+            weights = _as_kind(values, kind)
+            best = code_cost(weights, huffman_lengths(weights))
+            for mode in (DETAILED, BASIC):
+                stored.clear()  # one store per construction
+                profile, _ = construct_lengths(weights, mode)
+                assert code_cost(weights, profile) == best
+    assert hits > 0
+
+
+def test_runs_grow_at_their_ends_in_rank_order(monkeypatch):
+    # why the memo stays valid: an assignment appends weights that rank
+    # above the level's leaves, and a Kraft move hands the next level, at
+    # its low end, weights that rank below its leaves; so every boundary
+    # handed out stays a rank boundary of its run, which selections keep
+    add, apply_move = construct._Levels.add, construct._Levels.apply_move
+    joins = 0
+
+    def checked_add(self, level, count):
+        nonlocal joins
+        if count and level in self.runs:
+            lo, hi = self.runs[level]
+            assert max(self.arr[lo:hi]) < min(self.arr[hi:hi + count])
+            joins += 1
+        add(self, level, count)
+
+    def checked_move(self, moved):
+        nonlocal joins
+        for lv, (cut, end) in moved.runs.items():
+            if lv + 1 in self.runs:
+                lo, hi = self.runs[lv + 1]
+                assert max(self.arr[cut:end]) < min(self.arr[lo:hi])
+                joins += 1
+        apply_move(self, moved)
+
+    monkeypatch.setattr(construct._Levels, "add", checked_add)
+    monkeypatch.setattr(construct._Levels, "apply_move", checked_move)
+    for values in _memo_corpus():
+        for kind in ("unsorted", "sorted", "nonpositional"):
+            for mode in (DETAILED, BASIC):
+                construct_lengths(_as_kind(values, kind), mode)
+    assert joins > 0
+
+
+def test_no_store_outlives_its_construction():
+    # cached slices point back at their store; the memo is cleared when a
+    # construction returns, so no store waits for the cycle collector
+    inputs = [WeightList.from_values(sorted(generators.example41(65536, 0)), sorted_flag=True),
+              WeightList.from_values(generators.generate("geometric", 256, 0))]
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, split.Store)}
+    gc.disable()
+    try:
+        for w in inputs:
+            _, stats = construct_lengths(w, DETAILED)
+            assert stats.cache_hits > 0
+        left = [o for o in gc.get_objects()
+                if isinstance(o, split.Store) and id(o) not in before]
+    finally:
+        gc.enable()
+    assert not left
+
+
+@pytest.mark.parametrize("label, algo, expected", [
+    pytest.param("fibonacci-92", "detailed", 9717, id="fibonacci-92-detailed"),
+    pytest.param("fibonacci-92", "basic", 9275, id="fibonacci-92-basic"),
+    pytest.param("exponential-62", "detailed", 4081, id="exponential-62-detailed"),
+    pytest.param("exponential-62", "basic", 3842, id="exponential-62-basic"),
+])
+def test_high_k_inputs(label, algo, expected):
+    # one leaf per level: k is n - 1, every pass adds a level, and the
+    # memo answers across passes.  The counts are exact; a change that
+    # lowers them updates these pins and records the old and new numbers
+    # in CHANGES.md
+    values = _fibonacci_92() if label == "fibonacci-92" else generators.exponential(62)
+    w = WeightList.from_values(values)
+    profile, stats = construct_lengths(w, ConstructionMode(algo))
+    assert code_cost(w, profile) == code_cost(w, huffman_lengths(w))
+    assert stats.distinct_lengths == len(values) - 1
+    assert stats.iterations <= 2 * stats.distinct_lengths
+    assert stats.weight_comparisons == expected
 
 
 def _assign_with_every_index(level, levels, pool):
