@@ -2,7 +2,15 @@
 
 Codewords of equal length are consecutive integers ordered by symbol index;
 bits are emitted most-significant-bit first and packed into bytes with the
-final partial byte zero-padded.  The container format is:
+final partial byte zero-padded.
+
+Neither direction runs a Python loop turn per bit.  `encode` formats the
+codeword string of each distinct symbol once and joins the strings a chunk
+of symbols at a time.  `decode` follows Moffat and Turpin's table-driven
+canonical decoder: one dict lookup of the next W stream bits gives the
+symbol and length of any codeword of at most W bits, and a longer codeword
+costs one bisection over at most k left-justified limits, k being the
+number of distinct codeword lengths.  The container format is:
 
     magic "PFX1" | n (8-byte LE) | n lengths (2-byte LE each)
     | payload bit count (8-byte LE) | packed payload
@@ -11,13 +19,21 @@ final partial byte zero-padded.  The container format is:
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Iterable, Sequence
 
 from .core import CodeLengthProfile, check_length_range
 
 MAGIC = b"PFX1"
+
+# Decode window W in bits; `_window_bits` picks it within these limits.
+WINDOW_MIN_BITS = 6
+WINDOW_MAX_BITS = 12
+DECODE_CHUNK_BYTES = 4096    # payload bytes turned into a bit string at a time
+ENCODE_CHUNK_SYMBOLS = 4096  # symbols whose codewords are joined at a time
 
 
 class ContainerFormatError(ValueError):
@@ -75,59 +91,148 @@ def canonical_codes(lengths: CodeLengthProfile) -> CanonicalTable:
 
 
 def encode(symbols: Iterable[int], table: CanonicalTable) -> tuple[bytes, int]:
-    """Pack the symbol sequence; returns (payload bytes, exact bit count)."""
-    lengths = table.lengths
-    codes = table.codes
+    """Pack the symbol sequence; returns (payload bytes, exact bit count).
+
+    The codeword string of each distinct symbol is formatted once.  The
+    symbols are taken `ENCODE_CHUNK_SYMBOLS` at a time: their codeword
+    strings are joined, and the whole bytes of the join are converted with
+    one ``int(..., 2).to_bytes``.  A symbol thus costs a list lookup inside
+    ``str.join``, not a Python loop turn.  A bad symbol raises what the
+    first bad one in input order raises.
+    """
+    words: list[str | None] = [None] * len(table.lengths)
     out = bytearray()
-    buf = 0
-    nbits = 0
+    bits = ""
     total = 0
-    for sym in symbols:
-        if not 0 <= sym < len(lengths):
-            raise ValueError(f"symbol {sym} outside the table")
-        l = lengths[sym]
-        buf = (buf << l) | codes[sym]
-        nbits += l
-        total += l
-        while nbits >= 8:
-            nbits -= 8
-            out.append((buf >> nbits) & 0xFF)
-        buf &= (1 << nbits) - 1
-    if nbits:
-        out.append((buf << (8 - nbits)) & 0xFF)
+    it = iter(symbols)
+    while chunk := list(islice(it, ENCODE_CHUNK_SYMBOLS)):
+        joined = _join_codewords(chunk, table, words)
+        total += len(joined)
+        bits += joined
+        whole = len(bits) - len(bits) % 8
+        if whole:
+            out += int(bits[:whole], 2).to_bytes(whole // 8, "big")
+            bits = bits[whole:]
+    if bits:
+        out.append(int(bits, 2) << (8 - len(bits)))
     return bytes(out), total
 
 
+def _join_codewords(chunk: list, table: CanonicalTable, words: list[str | None]) -> str:
+    """The codeword strings of `chunk`, joined; `words[sym]` keeps the
+    string of each symbol seen so far.
+
+    List indexing, like the table's tuples, rejects a symbol that is not an
+    integer.  On any bad symbol the chunk is checked again in input order,
+    so the first bad one names the error.
+    """
+    codes, lengths = table.codes, table.lengths
+    n = len(lengths)
+    try:
+        distinct = set(chunk)
+        if min(distinct) >= 0 and max(distinct) < n:
+            for sym in distinct:
+                if words[sym] is None:
+                    # codeword_bits, inlined: code + 2^length in binary, less "0b1"
+                    words[sym] = bin(codes[sym] | 1 << lengths[sym])[3:]
+            return "".join(map(words.__getitem__, chunk))
+    except TypeError:
+        pass
+    parts = []
+    for sym in chunk:
+        if not 0 <= sym < n:
+            raise ValueError(f"symbol {sym} outside the table")
+        parts.append(table.codeword_bits(sym))
+    return "".join(parts)
+
+
 def decode(payload: bytes, bit_count: int, table: CanonicalTable) -> list[int]:
-    """Inverse of encode; needs the exact bit count to stop cleanly."""
+    """Inverse of encode; needs the exact bit count to stop cleanly.
+
+    Table-driven canonical decoding (Moffat and Turpin, "On the
+    implementation of minimum redundancy prefix codes", IEEE Trans.
+    Commun. 1997).  The payload turns into a '0'/'1' string
+    `DECODE_CHUNK_BYTES` at a time, and the partial codeword at a chunk's
+    end carries into the next.  Each symbol is then one slice of the next
+    W bits and one dict lookup that gives (symbol, length), for every
+    codeword of at most W bits.  A longer codeword reads max_length bits and
+    bisects the left-justified limits of the lengths above W: at most k
+    of them, k being the number of distinct codeword lengths.  W (see
+    `_window_bits`) grows with the stream, so a short message builds a
+    small window table.
+    """
     if bit_count > len(payload) * 8:
         raise DecodeError("bit count exceeds the payload")
-    first = table.first_codes
-    counts = table.counts
-    by_rank = table.symbols_by_rank
-    max_len = table.max_length
+    top = table.max_length
+    width = _window_bits(top, bit_count)
+    windows = _window_table(table, width)
+    first, counts, by_rank = table.first_codes, table.counts, table.symbols_by_rank
+    long_lengths = [l for l in range(width + 1, top + 1) if counts[l]]
+    limits = [(first[l] + counts[l]) << (top - l) for l in long_lengths]
     out: list[int] = []
-    code = 0
-    code_len = 0
-    consumed = 0
-    for byte in payload:
-        take = min(8, bit_count - consumed)
-        for k in range(7, 7 - take, -1):
-            code = (code << 1) | ((byte >> k) & 1)
-            code_len += 1
-            if code_len > max_len:
-                raise DecodeError("bit run exceeds the longest codeword")
-            offset = code - first[code_len]
-            if 0 <= offset < counts[code_len]:
-                out.append(by_rank[code_len][offset])
-                code = 0
-                code_len = 0
-        consumed += take
-        if consumed >= bit_count:
-            break
-    if code_len:
+    append = out.append
+    nbytes = (bit_count + 7) // 8
+    bits = ""
+    base = 0  # stream position of bits[0]
+    pos = stop = 0
+    for start in range(0, nbytes, DECODE_CHUNK_BYTES):
+        chunk = payload[start:start + DECODE_CHUNK_BYTES]
+        bits = bits[pos:] + format(int.from_bytes(chunk, "big"), f"0{8 * len(chunk)}b")
+        base += pos
+        if start + DECODE_CHUNK_BYTES < nbytes:
+            stop = len(bits) - top + 1  # a codeword starting before stop ends in bits
+        else:
+            # the stream's last bits; zeros past them keep every read in range
+            stop = bit_count - base
+            bits = bits[:stop] + "0" * top
+        pos = 0
+        while pos < stop:
+            try:
+                sym, l = windows[bits[pos:pos + width]]
+            except KeyError:
+                v = int(bits[pos:pos + top], 2)
+                i = bisect_right(limits, v)
+                if i == len(limits):
+                    raise DecodeError("bit run exceeds the longest codeword"
+                                      if bit_count - base - pos > top else
+                                      "stream truncated inside a codeword") from None
+                l = long_lengths[i]
+                sym = by_rank[l][(v >> (top - l)) - first[l]]
+            append(sym)
+            pos += l
+    if pos > stop:  # the last codeword runs past the stream's end
         raise DecodeError("stream truncated inside a codeword")
     return out
+
+
+def _window_bits(max_length: int, bit_count: int) -> int:
+    """W: about one window table entry per 64 stream bits, within
+    WINDOW_MIN_BITS..WINDOW_MAX_BITS and no wider than the longest codeword."""
+    return min(max_length, max(WINDOW_MIN_BITS,
+                               min(WINDOW_MAX_BITS, bit_count.bit_length() - 6)))
+
+
+def _window_table(table: CanonicalTable, width: int) -> dict[str, tuple[int, int]]:
+    """Maps each `width`-bit string that starts with a codeword of at most
+    `width` bits to (symbol, codeword length).
+
+    Canonical codewords in (length, symbol) order fill the windows from
+    all zeros upward with no gap, so entry j is the window of value j.
+    """
+    entries: list[tuple[int, int]] = []
+    for l in range(1, width + 1):
+        span = 1 << (width - l)
+        for entry in zip(table.symbols_by_rank[l], repeat(l)):
+            entries += [entry] * span
+    half = width // 2
+    tails = _bit_strings(half)
+    return dict(zip([head + tail for head in _bit_strings(width - half) for tail in tails],
+                    entries))
+
+
+def _bit_strings(k: int) -> list[str]:
+    """The 2^k strings of k '0'/'1' characters, in numeric order."""
+    return [format(i, "b")[1:] for i in range(1 << k, 2 << k)]
 
 
 def pack_container(lengths: Sequence[int], payload: bytes, bit_count: int) -> bytes:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 MAX_WEIGHT = 2**63 - 1
@@ -73,6 +74,12 @@ class WeightList:
     sorted_flag: bool = False
 
     def __post_init__(self) -> None:
+        try:
+            if self._passes_checks():
+                return
+        except TypeError:
+            pass
+        # the checks again, item by item: the first fault names the error
         _check_items(self.items)
         indices = sorted(it.index for it in self.items)
         if indices != list(range(len(self.items))):
@@ -83,18 +90,39 @@ class WeightList:
                     raise ValueError("sorted_flag set but sequence is not "
                                      "non-decreasing in (value, index) order")
 
+    def _passes_checks(self) -> bool:
+        """The checks of `__post_init__` with C-level iteration; True iff
+        every one passes.  The range test compares each value, as the
+        item loop does, so that a NaN cannot slip past a `min`.  Nothing
+        of size n is built unless the indices are not 0..n-1 in order."""
+        items = self.items
+        value, index = operator.itemgetter(0), operator.itemgetter(1)
+        return (all(map(operator.le, repeat(1), map(value, items)))
+                and all(map(operator.le, map(value, items), repeat(MAX_WEIGHT)))
+                and (all(map(operator.eq, map(index, items), count()))
+                     or sorted(map(index, items)) == list(range(len(items))))
+                and (not self.sorted_flag
+                     or all(map(operator.le, items, islice(items, 1, None)))))
+
     @classmethod
     def from_values(cls, values: Iterable[int], sorted_flag: bool = False) -> "WeightList":
         """Weights tagged with their positions.  Each value must be an
         integer (``int`` or any type with ``__index__``); anything else,
         a float included, raises `TypeError` rather than being truncated."""
-        items = []
-        for i, v in enumerate(values):
-            try:
-                items.append(WeightItem(operator.index(v), i))
-            except TypeError:
-                raise TypeError(f"weight {v!r} is not an integer") from None
-        return cls(tuple(items), sorted_flag)
+        if not isinstance(values, (list, tuple)):
+            values = list(values)  # read again below if a value is bad
+        try:
+            # tuple.__new__ makes each WeightItem without a Python-level call
+            items = tuple(map(tuple.__new__, repeat(WeightItem),
+                              zip(map(operator.index, values), count())))
+        except TypeError:
+            for v in values:
+                try:
+                    operator.index(v)
+                except TypeError:
+                    raise TypeError(f"weight {v!r} is not an integer") from None
+            raise
+        return cls(items, sorted_flag)
 
     def sorted_copy(self) -> "WeightList":
         """Same multiset, re-indexed in ascending value order, flagged sorted."""

@@ -2,13 +2,15 @@
 
 The materializer builds every implied internal node of a level assignment
 the slow way (sort, pair, sum), so engine results can be checked against
-ground truth on small states.
+ground truth on small states.  The bit-at-a-time codec loops are the
+references the table-driven `encode` and `decode` are compared against.
 """
 
 from __future__ import annotations
 
 import random
 
+from mrcode.codec import DecodeError
 from mrcode.core import WeightItem
 
 
@@ -113,3 +115,59 @@ def split_fixture_state() -> dict[int, list[WeightItem]]:
         state[lv] = [WeightItem(v, idx + i) for i, v in enumerate(vals)]
         idx += len(vals)
     return state
+
+
+def reference_encode(symbols, table):
+    """One symbol and one output byte per loop turn."""
+    lengths = table.lengths
+    codes = table.codes
+    out = bytearray()
+    buf = 0
+    nbits = 0
+    total = 0
+    for sym in symbols:
+        if not 0 <= sym < len(lengths):
+            raise ValueError(f"symbol {sym} outside the table")
+        l = lengths[sym]
+        buf = (buf << l) | codes[sym]
+        nbits += l
+        total += l
+        while nbits >= 8:
+            nbits -= 8
+            out.append((buf >> nbits) & 0xFF)
+        buf &= (1 << nbits) - 1
+    if nbits:
+        out.append((buf << (8 - nbits)) & 0xFF)
+    return bytes(out), total
+
+
+def reference_decode(payload, bit_count, table):
+    """One stream bit per loop turn, checked against every length."""
+    if bit_count > len(payload) * 8:
+        raise DecodeError("bit count exceeds the payload")
+    first = table.first_codes
+    counts = table.counts
+    by_rank = table.symbols_by_rank
+    max_len = table.max_length
+    out: list[int] = []
+    code = 0
+    code_len = 0
+    consumed = 0
+    for byte in payload:
+        take = min(8, bit_count - consumed)
+        for k in range(7, 7 - take, -1):
+            code = (code << 1) | ((byte >> k) & 1)
+            code_len += 1
+            if code_len > max_len:
+                raise DecodeError("bit run exceeds the longest codeword")
+            offset = code - first[code_len]
+            if 0 <= offset < counts[code_len]:
+                out.append(by_rank[code_len][offset])
+                code = 0
+                code_len = 0
+        consumed += take
+        if consumed >= bit_count:
+            break
+    if code_len:
+        raise DecodeError("stream truncated inside a codeword")
+    return out

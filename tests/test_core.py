@@ -68,16 +68,33 @@ def test_distinct_length_count():
 
 
 def test_weight_list_validation():
-    with pytest.raises(ValueError):
-        WeightList.from_values([0, 1])
-    with pytest.raises(ValueError):
-        WeightList.from_values([1, 2**63])
-    with pytest.raises(ValueError):
-        WeightList.from_values([3, 1, 2], sorted_flag=True)
-    with pytest.raises(ValueError):
-        WeightList((WeightItem(1, 0), WeightItem(1, 0)))
-    with pytest.raises(ValueError, match="cover 0..n-1"):
-        WeightList((WeightItem(1, 1),))
+    def rejects(message, make):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            make()
+
+    unsorted = "sorted_flag set but sequence is not non-decreasing in (value, index) order"
+    rejects("weight 0 out of range [1, 2^63-1]", lambda: WeightList.from_values([0, 1]))
+    rejects(f"weight {2**63} out of range [1, 2^63-1]",
+            lambda: WeightList.from_values([1, 2**63]))
+    rejects("weight nan out of range [1, 2^63-1]",
+            lambda: WeightList((WeightItem(5, 0), WeightItem(float("nan"), 1))))
+    rejects("duplicate weight index 0",
+            lambda: WeightList((WeightItem(1, 0), WeightItem(1, 0))))
+    rejects("weight indices must cover 0..n-1 exactly once",
+            lambda: WeightList((WeightItem(1, 1),)))
+    rejects("weight indices must cover 0..n-1 exactly once",
+            lambda: WeightList((WeightItem(1, 0), WeightItem(2, 2))))
+    rejects(unsorted, lambda: WeightList.from_values([3, 1, 2], sorted_flag=True))
+    rejects(unsorted, lambda: WeightList((WeightItem(1, 1), WeightItem(1, 0)),
+                                         sorted_flag=True))
+    # two faults: the first in input order names the error
+    rejects("duplicate weight index 0",
+            lambda: WeightList((WeightItem(1, 0), WeightItem(1, 0), WeightItem(0, 1))))
+    rejects("weight 0 out of range [1, 2^63-1]",
+            lambda: WeightList((WeightItem(0, 1), WeightItem(1, 1))))
+    # indices that permute the positions are valid, presorted or not
+    assert WeightList((WeightItem(2, 1), WeightItem(1, 0))).values() == [2, 1]
+    assert len(WeightList((WeightItem(1, 1), WeightItem(2, 0)), sorted_flag=True)) == 2
 
 
 class IntLike:
@@ -94,6 +111,8 @@ def test_weight_list_rejects_non_integers():
     for bad in (2.7, 0.5, "4", Decimal(3)):
         with pytest.raises(TypeError, match=re.escape(repr(bad))):
             WeightList.from_values([1, bad])
+    with pytest.raises(TypeError, match=r"^weight 2\.5 is not an integer$"):
+        WeightList.from_values(iter([1, 2.5, "x"]))
     assert WeightList.from_values([True, 2, IntLike(5)]).values() == [1, 2, 5]
 
 
