@@ -4,13 +4,15 @@ Codewords of equal length are consecutive integers ordered by symbol index;
 bits are emitted most-significant-bit first and packed into bytes with the
 final partial byte zero-padded.
 
-Neither direction runs a Python loop turn per bit.  `encode` formats the
-codeword string of each distinct symbol once and joins the strings a chunk
-of symbols at a time.  `decode` follows Moffat and Turpin's table-driven
-canonical decoder: one dict lookup of the next W stream bits gives the
-symbol and length of any codeword of at most W bits, and a longer codeword
-costs one bisection over at most k left-justified limits, k being the
-number of distinct codeword lengths.  The container format is:
+Neither direction runs a Python loop turn per bit.  Each makes one pass
+per message and holds the message's bits as one '0'/'1' string, one
+character per payload bit.  `encode` formats the codeword string of each
+distinct symbol once and joins the strings.  `decode` follows Moffat and
+Turpin's table-driven canonical decoder: one dict lookup of the next W
+stream bits gives the symbol and length of any codeword of at most W
+bits, and a longer codeword costs one bisection over at most k
+left-justified limits, k being the number of distinct codeword lengths.
+The container format is:
 
     magic "PFX1" | n (8-byte LE) | n lengths (2-byte LE each)
     | payload bit count (8-byte LE) | packed payload
@@ -20,20 +22,17 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterable, Sequence
 
-from .core import CodeLengthProfile, check_length_range
+from .core import CodeLengthProfile, check_length_range, kraft_sum
 
 MAGIC = b"PFX1"
 
 # Decode window W in bits; `_window_bits` picks it within these limits.
 WINDOW_MIN_BITS = 6
 WINDOW_MAX_BITS = 12
-DECODE_CHUNK_BYTES = 4096    # payload bytes turned into a bit string at a time
-ENCODE_CHUNK_SYMBOLS = 4096  # symbols whose codewords are joined at a time
 
 
 class ContainerFormatError(ValueError):
@@ -93,57 +92,37 @@ def canonical_codes(lengths: CodeLengthProfile) -> CanonicalTable:
 def encode(symbols: Iterable[int], table: CanonicalTable) -> tuple[bytes, int]:
     """Pack the symbol sequence; returns (payload bytes, exact bit count).
 
-    The codeword string of each distinct symbol is formatted once.  The
-    symbols are taken `ENCODE_CHUNK_SYMBOLS` at a time: their codeword
-    strings are joined, and the whole bytes of the join are converted with
-    one ``int(..., 2).to_bytes``.  A symbol thus costs a list lookup inside
-    ``str.join``, not a Python loop turn.  A bad symbol raises what the
-    first bad one in input order raises.
-    """
-    words: list[str | None] = [None] * len(table.lengths)
-    out = bytearray()
-    bits = ""
-    total = 0
-    it = iter(symbols)
-    while chunk := list(islice(it, ENCODE_CHUNK_SYMBOLS)):
-        joined = _join_codewords(chunk, table, words)
-        total += len(joined)
-        bits += joined
-        whole = len(bits) - len(bits) % 8
-        if whole:
-            out += int(bits[:whole], 2).to_bytes(whole // 8, "big")
-            bits = bits[whole:]
-    if bits:
-        out.append(int(bits, 2) << (8 - len(bits)))
-    return bytes(out), total
-
-
-def _join_codewords(chunk: list, table: CanonicalTable, words: list[str | None]) -> str:
-    """The codeword strings of `chunk`, joined; `words[sym]` keeps the
-    string of each symbol seen so far.
-
+    One pass over the message: the codeword string of each distinct symbol
+    is formatted once, the strings of all the symbols are joined into one
+    '0'/'1' string, and one ``int(..., 2).to_bytes`` packs it.  A symbol
+    thus costs a list lookup inside ``str.join``, not a Python loop turn.
     List indexing, like the table's tuples, rejects a symbol that is not an
-    integer.  On any bad symbol the chunk is checked again in input order,
-    so the first bad one names the error.
+    integer.  A bad symbol raises what the first bad one in input order
+    raises.
     """
     codes, lengths = table.codes, table.lengths
     n = len(lengths)
+    symbols = list(symbols)
+    if not symbols:
+        return b"", 0
+    words: list[str | None] = [None] * n
     try:
-        distinct = set(chunk)
+        distinct = set(symbols)
         if min(distinct) >= 0 and max(distinct) < n:
             for sym in distinct:
-                if words[sym] is None:
-                    # codeword_bits, inlined: code + 2^length in binary, less "0b1"
-                    words[sym] = bin(codes[sym] | 1 << lengths[sym])[3:]
-            return "".join(map(words.__getitem__, chunk))
+                # codeword_bits, inlined: code + 2^length in binary, less "0b1"
+                words[sym] = bin(codes[sym] | 1 << lengths[sym])[3:]
+            bits = "".join(map(words.__getitem__, symbols))
+            pad = -len(bits) % 8
+            return (int(bits, 2) << pad).to_bytes((len(bits) + pad) // 8, "big"), len(bits)
     except TypeError:
         pass
-    parts = []
-    for sym in chunk:
+    for sym in symbols:
         if not 0 <= sym < n:
             raise ValueError(f"symbol {sym} outside the table")
-        parts.append(table.codeword_bits(sym))
-    return "".join(parts)
+        codes[sym]  # a symbol that is not an integer raises TypeError here
+    # reached only by symbols whose comparisons or hashes disagree with each other
+    raise TypeError("symbols must be integers that index the table")
 
 
 def decode(payload: bytes, bit_count: int, table: CanonicalTable) -> list[int]:
@@ -151,15 +130,14 @@ def decode(payload: bytes, bit_count: int, table: CanonicalTable) -> list[int]:
 
     Table-driven canonical decoding (Moffat and Turpin, "On the
     implementation of minimum redundancy prefix codes", IEEE Trans.
-    Commun. 1997).  The payload turns into a '0'/'1' string
-    `DECODE_CHUNK_BYTES` at a time, and the partial codeword at a chunk's
-    end carries into the next.  Each symbol is then one slice of the next
-    W bits and one dict lookup that gives (symbol, length), for every
-    codeword of at most W bits.  A longer codeword reads max_length bits and
-    bisects the left-justified limits of the lengths above W: at most k
-    of them, k being the number of distinct codeword lengths.  W (see
-    `_window_bits`) grows with the stream, so a short message builds a
-    small window table.
+    Commun. 1997), in one pass over the message: the payload turns into
+    one '0'/'1' string, one character per stream bit.  Each symbol is then
+    one slice of the next W bits and one dict lookup that gives (symbol,
+    length), for every codeword of at most W bits.  A longer codeword reads
+    max_length bits and bisects the left-justified limits of the lengths
+    above W: at most k of them, k being the number of distinct codeword
+    lengths.  W (see `_window_bits`) grows with the stream, so a short
+    message builds a small window table.
     """
     if bit_count > len(payload) * 8:
         raise DecodeError("bit count exceeds the payload")
@@ -169,38 +147,28 @@ def decode(payload: bytes, bit_count: int, table: CanonicalTable) -> list[int]:
     first, counts, by_rank = table.first_codes, table.counts, table.symbols_by_rank
     long_lengths = [l for l in range(width + 1, top + 1) if counts[l]]
     limits = [(first[l] + counts[l]) << (top - l) for l in long_lengths]
+    nbytes = (bit_count + 7) // 8
+    # the stream's bits; zeros past them keep every read in range
+    bits = (format(int.from_bytes(payload[:nbytes], "big"), f"0{8 * nbytes}b")[:bit_count]
+            + "0" * top)
     out: list[int] = []
     append = out.append
-    nbytes = (bit_count + 7) // 8
-    bits = ""
-    base = 0  # stream position of bits[0]
-    pos = stop = 0
-    for start in range(0, nbytes, DECODE_CHUNK_BYTES):
-        chunk = payload[start:start + DECODE_CHUNK_BYTES]
-        bits = bits[pos:] + format(int.from_bytes(chunk, "big"), f"0{8 * len(chunk)}b")
-        base += pos
-        if start + DECODE_CHUNK_BYTES < nbytes:
-            stop = len(bits) - top + 1  # a codeword starting before stop ends in bits
-        else:
-            # the stream's last bits; zeros past them keep every read in range
-            stop = bit_count - base
-            bits = bits[:stop] + "0" * top
-        pos = 0
-        while pos < stop:
-            try:
-                sym, l = windows[bits[pos:pos + width]]
-            except KeyError:
-                v = int(bits[pos:pos + top], 2)
-                i = bisect_right(limits, v)
-                if i == len(limits):
-                    raise DecodeError("bit run exceeds the longest codeword"
-                                      if bit_count - base - pos > top else
-                                      "stream truncated inside a codeword") from None
-                l = long_lengths[i]
-                sym = by_rank[l][(v >> (top - l)) - first[l]]
-            append(sym)
-            pos += l
-    if pos > stop:  # the last codeword runs past the stream's end
+    pos = 0
+    while pos < bit_count:
+        try:
+            sym, l = windows[bits[pos:pos + width]]
+        except KeyError:
+            v = int(bits[pos:pos + top], 2)
+            i = bisect_right(limits, v)
+            if i == len(limits):
+                raise DecodeError("bit run exceeds the longest codeword"
+                                  if bit_count - pos > top else
+                                  "stream truncated inside a codeword") from None
+            l = long_lengths[i]
+            sym = by_rank[l][(v >> (top - l)) - first[l]]
+        append(sym)
+        pos += l
+    if pos > bit_count:  # the last codeword runs past the stream's end
         raise DecodeError("stream truncated inside a codeword")
     return out
 
@@ -263,10 +231,10 @@ def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
         raise ContainerFormatError("no codeword lengths")
     lengths = list(struct.unpack_from(f"<{n}H", blob, off))
     try:
-        top = check_length_range(lengths, n)
+        check_length_range(lengths, n)
     except ValueError as exc:
         raise ContainerFormatError(f"codeword {exc}") from None
-    if n >= 2 and sum(c << (top - l) for l, c in Counter(lengths).items()) != 1 << top:
+    if n >= 2 and kraft_sum(lengths) != 1:
         raise ContainerFormatError("codeword lengths do not have Kraft sum 1")
     off += 2 * n
     bit_count = struct.unpack_from("<Q", blob, off)[0]

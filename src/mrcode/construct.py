@@ -11,7 +11,7 @@ with a full binary tree by moving the largest-rank subtrees up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 from .core import (CodeLengthProfile, ComparisonCounter, ConstructionStats,
                    LevelTraceEntry, WeightItem, WeightList)
@@ -32,16 +32,19 @@ class PendingPool:
 
     ``arr[:cur]`` holds the weights assigned to levels (their runs belong
     to `_Levels`), and ``arr[cur:]`` the weights not yet assigned.
-    Unsorted pools find their two smallest by one counted scan, kept until
+    Unsorted pools copy the input to a list, which selections reorder in
+    place, and find their two smallest by one counted scan, kept until
     `take_below` assigns a weight.  Presorted pools keep the ascending
-    input: the minimum is positional and threshold extraction runs an
-    exponential search followed by a binary search, counting each probe.
+    input's tuple, which nothing writes: the minimum is positional and
+    threshold extraction runs an exponential search followed by a binary
+    search, counting each probe.
     """
 
-    def __init__(self, items, presorted: bool, counter: ComparisonCounter):
+    def __init__(self, items: Sequence[WeightItem], presorted: bool,
+                 counter: ComparisonCounter):
         self.presorted = presorted
         self.cnt = counter
-        self.arr: list[WeightItem] = list(items)
+        self.arr: Sequence[WeightItem] = items if presorted else list(items)
         self.cur = 0
         self.two = None  # unsorted: the two smallest of arr[cur:], once scanned
 
@@ -325,7 +328,7 @@ def construct_lengths(weights: WeightList,
         for it in arr[lo:hi]:
             lengths[it[1]] = code_len
     profile = CodeLengthProfile(tuple(lengths))
-    k = len(set(profile.lengths))
+    k = len(levels.runs)  # each run is one non-empty level: one distinct length
     if iterations > 2 * k:
         raise AssertionError(
             f"{iterations} assignment iterations exceed twice the {k} distinct lengths")

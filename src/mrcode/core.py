@@ -8,6 +8,7 @@ codeword length of a weight at level ``eta`` is ``root_level - eta``.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, repeat
@@ -221,24 +222,22 @@ def kraft_sum(lengths: Sequence[int] | CodeLengthProfile) -> Fraction:
     """
     if isinstance(lengths, CodeLengthProfile):
         lengths = lengths.lengths
-    if not lengths:
+    counts = Counter(lengths)
+    if not counts:
         return Fraction(0)
-    if any(l < 1 for l in lengths):
+    if min(counts) < 1:
         raise ValueError("codeword lengths must be >= 1")
-    top = max(lengths)
-    num = sum(1 << (top - l) for l in lengths)
-    return Fraction(num, 1 << top)
+    top = max(counts)
+    return Fraction(sum(c << (top - l) for l, c in counts.items()), 1 << top)
 
 
-def check_length_range(lengths: Sequence[int], n: int) -> int:
-    """The longest length; raises `ValueError` unless every length lies in
-    1..max(1, n - 1), the range of an optimal code for n weights: a
-    complete code on n >= 2 symbols has no codeword longer than n - 1."""
+def check_length_range(lengths: Sequence[int], n: int) -> None:
+    """Raises `ValueError` unless every length lies in 1..max(1, n - 1),
+    the range of an optimal code for n weights: a complete code on n >= 2
+    symbols has no codeword longer than n - 1."""
     bound = max(1, n - 1)
-    top = max(lengths)
-    if min(lengths) < 1 or top > bound:
+    if min(lengths) < 1 or max(lengths) > bound:
         raise ValueError(f"lengths must lie in 1..{bound}")
-    return top
 
 
 def code_cost(weights: WeightList, lengths: CodeLengthProfile) -> int:

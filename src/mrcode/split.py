@@ -37,10 +37,11 @@ _index = itemgetter(1)
 
 
 class Store:
-    """The list that every slice of one construction indexes.
+    """The weights that every slice of one construction indexes.
 
-    A presorted store, whose list is in (value, index) order, keeps in
-    ``psum`` the prefix sums of its values, built once: ``psum[j]`` is the
+    A presorted store, whose weights are in (value, index) order and
+    never written (a construction passes the input's tuple itself), keeps
+    in ``psum`` the prefix sums of its values, built once: ``psum[j]`` is the
     total of ``arr[:j]``, so a range sums in O(1).  An unsorted store has
     ``psum`` None, and ``psum is not None`` is the test for presorted.
     ``memo`` maps the level of a `_fsi` query and its ranges, each with
@@ -52,7 +53,7 @@ class Store:
 
     __slots__ = ("arr", "psum", "memo", "hits")
 
-    def __init__(self, arr: list[WeightItem], presorted: bool):
+    def __init__(self, arr: Sequence[WeightItem], presorted: bool):
         self.arr = arr
         self.psum = [0, *accumulate(map(_value, arr))] if presorted else None
         self.memo: dict[tuple, tuple] = {}

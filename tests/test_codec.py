@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrcode import (CodeLengthProfile, ContainerFormatError, DecodeError,
-                    WeightList, canonical_codes, codec, construct_lengths,
+                    WeightList, canonical_codes, construct_lengths,
                     decode, encode, huffman_lengths, pack_container,
                     unpack_container)
 from oracles import (WORKED_COST, WORKED_VALUES, reference_decode,
@@ -288,9 +287,9 @@ def _tables(draw):
     return canonical_codes(CodeLengthProfile(lengths))
 
 
-@given(_tables(), st.data(), st.sampled_from([1, 2, 3, codec.DECODE_CHUNK_BYTES]))
+@given(_tables(), st.data())
 @settings(max_examples=600, deadline=None)
-def test_decode_matches_bit_at_a_time_reference(table, data, chunk_bytes):
+def test_decode_matches_bit_at_a_time_reference(table, data):
     n = len(table.lengths)
     if data.draw(st.booleans()):
         # an encoded message, cut short or followed by stray bytes
@@ -302,12 +301,11 @@ def test_decode_matches_bit_at_a_time_reference(table, data, chunk_bytes):
         # random bits: runs with no codeword, truncations, bit counts past the payload
         payload = data.draw(st.binary(max_size=64))
         bits = data.draw(st.integers(0, 8 * len(payload) + 9))
-    with mock.patch.object(codec, "DECODE_CHUNK_BYTES", chunk_bytes):
-        assert _outcome(decode, payload, bits, table) == \
-            _outcome(reference_decode, payload, bits, table)
+    assert _outcome(decode, payload, bits, table) == \
+        _outcome(reference_decode, payload, bits, table)
 
 
-def test_decode_streams_longer_than_one_chunk():
+def test_decode_long_streams():
     rng = random.Random(9)
     for lengths in (tuple(range(1, 40)) + (39,),  # past any window
                     huffman_lengths(WeightList.from_values(
@@ -315,17 +313,16 @@ def test_decode_streams_longer_than_one_chunk():
         table = canonical_codes(CodeLengthProfile(lengths))
         message = [rng.randrange(len(lengths)) for _ in range(20000)]
         payload, bits = reference_encode(message, table)
-        assert len(payload) > 2 * codec.DECODE_CHUNK_BYTES
+        assert bits > 32768
         assert decode(payload, bits, table) == message
-        for cut in (1, 8, 8 * codec.DECODE_CHUNK_BYTES):
+        for cut in (1, 8, 32768):
             assert _outcome(decode, payload, bits - cut, table) == \
                 _outcome(reference_decode, payload, bits - cut, table)
 
 
-@given(_tables(), st.data(), st.booleans(),
-       st.sampled_from([1, 2, 7, codec.ENCODE_CHUNK_SYMBOLS]))
+@given(_tables(), st.data(), st.booleans())
 @settings(max_examples=400, deadline=None)
-def test_encode_matches_reference(table, data, as_generator, chunk_symbols):
+def test_encode_matches_reference(table, data, as_generator):
     """Same payload and bit count, or the same error for the first bad
     symbol in input order: negative, = n or past it, from a generator or
     a list, bools included."""
@@ -334,20 +331,17 @@ def test_encode_matches_reference(table, data, as_generator, chunk_symbols):
     for _ in range(data.draw(st.integers(0, 2))):
         symbols.insert(data.draw(st.integers(0, len(symbols))),
                        data.draw(st.sampled_from([-2, -1, n, n + 1])))
-    with mock.patch.object(codec, "ENCODE_CHUNK_SYMBOLS", chunk_symbols):
-        got = _outcome(encode, (s for s in symbols) if as_generator else symbols, table)
+    got = _outcome(encode, (s for s in symbols) if as_generator else symbols, table)
     assert got == _outcome(reference_encode, symbols, table)
 
 
 def test_encode_names_the_first_bad_symbol():
     table = canonical_codes(CodeLengthProfile((1, 2, 2)))
-    for chunk_symbols in (1, 2, codec.ENCODE_CHUNK_SYMBOLS):
-        with mock.patch.object(codec, "ENCODE_CHUNK_SYMBOLS", chunk_symbols):
-            with pytest.raises(ValueError, match=r"^symbol 3 outside the table$"):
-                encode(iter([0, 1, 3, 2, -1]), table)
-            with pytest.raises(ValueError, match=r"^symbol -1 outside the table$"):
-                encode([True, -1, 3], table)
-            # 1.0 equals 1 but indexes no tuple or list: refused, not read as 1
-            assert _outcome(encode, [1, 1.0], table) == \
-                _outcome(reference_encode, [1, 1.0], table)
+    with pytest.raises(ValueError, match=r"^symbol 3 outside the table$"):
+        encode(iter([0, 1, 3, 2, -1]), table)
+    with pytest.raises(ValueError, match=r"^symbol -1 outside the table$"):
+        encode([True, -1, 3], table)
+    # 1.0 equals 1 but indexes no tuple or list: refused, not read as 1
+    assert _outcome(encode, [1, 1.0], table) == \
+        _outcome(reference_encode, [1, 1.0], table)
     assert encode([True, False, 2], table) == reference_encode([1, 0, 2], table)

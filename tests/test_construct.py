@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from mrcode import (ComparisonCounter, ConstructionMode, LeafSlice, LevelState,
                     WeightList, assignment_from_lengths, code_cost,
-                    construct_lengths, huffman_lengths, kraft_sum, monotone,
-                    node_count, verify_exclusion)
+                    construct_lengths, distinct_length_count, huffman_lengths,
+                    kraft_sum, monotone, node_count, verify_exclusion)
 from mrcode import construct, generators, split
 from mrcode.construct import PendingPool
 from oracles import WORKED_COST, WORKED_LENGTH_COUNTS, WORKED_VALUES
@@ -355,6 +355,7 @@ def test_identity_corpus(algo, kind):
         digest.update(repr((profile.lengths, stats.iterations,
                             [tuple(e) for e in stats.trace])).encode())
         total += stats.weight_comparisons
+        assert stats.distinct_lengths == distinct_length_count(profile)
     assert digest.hexdigest() == _IDENTITY_DIGEST[kind]
     assert total == _IDENTITY_COMPARISONS[algo, kind]
 
