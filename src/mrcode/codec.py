@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .core import CodeLengthProfile, check_length_range, kraft_sum
+from .core import CodeLengthProfile, _kraft_scaled, check_length_range
 
 MAGIC = b"PFX1"
 
@@ -102,7 +102,8 @@ def encode(symbols: Iterable[int], table: CanonicalTable) -> tuple[bytes, int]:
     """
     codes, lengths = table.codes, table.lengths
     n = len(lengths)
-    symbols = list(symbols)
+    if type(symbols) is not list:
+        symbols = list(symbols)  # read twice below; a list message is not copied
     if not symbols:
         return b"", 0
     words: list[str | None] = [None] * n
@@ -234,7 +235,8 @@ def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
         check_length_range(lengths, n)
     except ValueError as exc:
         raise ContainerFormatError(f"codeword {exc}") from None
-    if n >= 2 and kraft_sum(lengths) != 1:
+    num, top = _kraft_scaled(lengths)
+    if n >= 2 and num != 1 << top:
         raise ContainerFormatError("codeword lengths do not have Kraft sum 1")
     off += 2 * n
     bit_count = struct.unpack_from("<Q", blob, off)[0]

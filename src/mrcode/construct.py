@@ -11,6 +11,7 @@ with a full binary tree by moving the largest-rank subtrees up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Literal, Sequence
 
 from .core import (CodeLengthProfile, ComparisonCounter, ConstructionStats,
@@ -112,10 +113,9 @@ class _Levels(Store):
     Level ``lv`` holds ``arr[lo:hi]`` for ``runs[lv] = (lo, hi)``; the runs
     ascend with the level and tile ``arr[:pool.cur]``, so each run is one
     distinct codeword length.  In presorted mode the list never changes:
-    the weights of each level are a run of the sorted input, and the
-    store's prefix sums over the whole list are built once.  In
-    unsorted mode selections reorder a run in place, keeping every range's
-    weights.  `add` appends weights that rank above the level's leaves and
+    the weights of each level are a run of the sorted input, and a range
+    sums from the store's block totals.  In unsorted mode selections
+    reorder a run in place, keeping every range's weights.  `add` appends weights that rank above the level's leaves and
     `apply_move` hands a level, at its low end, weights that rank below
     its leaves, so the query memo stays valid for the whole construction;
     `construct_lengths` clears it on return.
@@ -321,12 +321,17 @@ def construct_lengths(weights: WeightList,
     if iteration_hook:
         iteration_hook(levels.snapshot())
 
-    lengths = [0] * n
-    arr = pool.arr
-    for lv, (lo, hi) in levels.runs.items():
-        code_len = root - lv
-        for it in arr[lo:hi]:
-            lengths[it[1]] = code_len
+    if weights.sorted_flag and weights.positional:
+        # the runs tile the input in position order, and position is index
+        lengths = tuple(chain.from_iterable(
+            repeat(root - lv, hi - lo) for lv, (lo, hi) in levels.runs.items()))
+    else:
+        lengths = [0] * n
+        arr = pool.arr
+        for lv, (lo, hi) in levels.runs.items():
+            code_len = root - lv
+            for it in arr[lo:hi]:
+                lengths[it[1]] = code_len
     profile = CodeLengthProfile(tuple(lengths))
     k = len(levels.runs)  # each run is one non-empty level: one distinct length
     if iterations > 2 * k:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -68,11 +68,14 @@ class WeightList:
     When ``sorted_flag`` is set the sequence must be non-decreasing by value
     with ties in ascending index order, so that list position agrees with
     the strict order.  Presorted lists admit selection by pure index
-    arithmetic (zero counted comparisons).
+    arithmetic (zero counted comparisons).  ``positional`` is True when
+    every weight's index is its position in ``items``; it is derived from
+    the items and takes no part in equality, hashing or ``repr``.
     """
 
     items: tuple[WeightItem, ...]
     sorted_flag: bool = False
+    positional: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -95,13 +98,15 @@ class WeightList:
         """The checks of `__post_init__` with C-level iteration; True iff
         every one passes.  The range test compares each value, as the
         item loop does, so that a NaN cannot slip past a `min`.  Nothing
-        of size n is built unless the indices are not 0..n-1 in order."""
+        of size n is built unless the indices are not 0..n-1 in order.
+        Sets ``positional`` from the first index test."""
         items = self.items
         value, index = operator.itemgetter(0), operator.itemgetter(1)
+        positional = all(map(operator.eq, map(index, items), count()))
+        object.__setattr__(self, "positional", positional)
         return (all(map(operator.le, repeat(1), map(value, items)))
                 and all(map(operator.le, map(value, items), repeat(MAX_WEIGHT)))
-                and (all(map(operator.eq, map(index, items), count()))
-                     or sorted(map(index, items)) == list(range(len(items))))
+                and (positional or sorted(map(index, items)) == list(range(len(items))))
                 and (not self.sorted_flag
                      or all(map(operator.le, items, islice(items, 1, None)))))
 
@@ -222,13 +227,20 @@ def kraft_sum(lengths: Sequence[int] | CodeLengthProfile) -> Fraction:
     """
     if isinstance(lengths, CodeLengthProfile):
         lengths = lengths.lengths
+    num, top = _kraft_scaled(lengths)
+    return Fraction(num, 1 << top)
+
+
+def _kraft_scaled(lengths: Iterable[int]) -> tuple[int, int]:
+    """(num, top) with sum(2^-l) == num / 2^top, top the longest length
+    (0 for no lengths), in integers only."""
     counts = Counter(lengths)
     if not counts:
-        return Fraction(0)
+        return 0, 0
     if min(counts) < 1:
         raise ValueError("codeword lengths must be >= 1")
     top = max(counts)
-    return Fraction(sum(c << (top - l) for l, c in counts.items()), 1 << top)
+    return sum(c << (top - l) for l, c in counts.items()), top
 
 
 def check_length_range(lengths: Sequence[int], n: int) -> None:

@@ -36,14 +36,21 @@ _value = itemgetter(0)
 _index = itemgetter(1)
 
 
+# Positions per running total of a presorted store; 64, 128 and 256 timed
+# alike on 6 146 to 98 306 weights
+_BLOCK = 128
+
+
 class Store:
     """The weights that every slice of one construction indexes.
 
     A presorted store, whose weights are in (value, index) order and
     never written (a construction passes the input's tuple itself), keeps
-    in ``psum`` the prefix sums of its values, built once: ``psum[j]`` is the
-    total of ``arr[:j]``, so a range sums in O(1).  An unsorted store has
-    ``psum`` None, and ``psum is not None`` is the test for presorted.
+    in ``psum`` one running total every `_BLOCK` positions: ``psum[b]`` is
+    the total of ``arr[:b * _BLOCK]``.  Building them is one C-level sum
+    per block, and a prefix total adds at most ``_BLOCK - 1`` values to
+    one of them (`prefix`).  An unsorted store has ``psum`` None, and
+    ``psum is not None`` is the test for presorted.
     ``memo`` maps the level of a `_fsi` query and its ranges, each with
     its level, to the result, for as long as the store lives (the module
     docstring says why the ranges keep their weights).  Cached slices
@@ -55,9 +62,17 @@ class Store:
 
     def __init__(self, arr: Sequence[WeightItem], presorted: bool):
         self.arr = arr
-        self.psum = [0, *accumulate(map(_value, arr))] if presorted else None
+        self.psum = None
+        if presorted:
+            self.psum = [0, *accumulate(sum(map(_value, arr[i:i + _BLOCK]))
+                                        for i in range(0, len(arr), _BLOCK))]
         self.memo: dict[tuple, tuple] = {}
         self.hits = 0
+
+    def prefix(self, j: int) -> int:
+        """Total value of ``arr[:j]`` in a presorted store."""
+        b = j // _BLOCK
+        return self.psum[b] + sum(map(_value, self.arr[b * _BLOCK:j]))
 
 
 class LeafSlice:
@@ -102,15 +117,16 @@ class LeafSlice:
         return out
 
     def total_value(self) -> int:
-        arr, ps = self.store.arr, self.store.psum
+        st = self.store
+        arr = st.arr
         total = 0
         for lo, hi in self.runs.values():
-            if ps is not None:
-                total += ps[hi] - ps[lo]
-            elif hi - lo == 1:
+            if hi - lo == 1:
                 total += arr[lo][0]
-            else:
+            elif hi - lo < _BLOCK or st.psum is None:
                 total += sum(map(_value, arr[lo:hi]))
+            else:
+                total += st.prefix(hi) - st.prefix(lo)
         return total
 
     def min_index(self) -> int:

@@ -164,8 +164,10 @@ def test_container_rejects_length_out_of_range():
 
 
 def test_container_rejects_kraft_sum_not_one():
-    for lengths in ([2, 2, 2], [1, 1, 2], [1, 2, 3, 3, 3]):
-        with pytest.raises(ContainerFormatError):
+    for lengths in ([2, 2, 2], [1, 1, 2], [1, 2, 3, 3, 3], [1, 2, 3, 4, 4, 4],
+                    [1, 2, 3, 4, 5, 5, 4]):
+        with pytest.raises(ContainerFormatError,
+                           match="^codeword lengths do not have Kraft sum 1$"):
             unpack_container(pack_container(lengths, b"", 0))
     assert unpack_container(pack_container([1], b"", 0)) == ([1], b"", 0)
 

@@ -292,12 +292,21 @@ def test_presorted_lists_whose_indices_are_not_positions():
     # sorting the items keeps each weight's input index, so positions and
     # indices differ; the strict (value, index) order, and with it every
     # tie-break, is that of the unsorted input, so the lengths, the
-    # iterations and the trace must be the unsorted construction's
+    # iterations and the trace must be the unsorted construction's.  The
+    # lists of 300 to 700 weights span several of the store's blocks, and
+    # two-cluster's near-tied sums turn a wrong block sum into a wrong
+    # answer.  The sorted copy, whose indices are positions, writes its
+    # lengths run by run; its items shuffled, unsorted, must give the same
+    # lengths, iterations and trace
     rng = random.Random(64)
-    for _ in range(150):
-        values = _random_values(rng, n_max=120, v_max=rng.choice([2, 3, 6]))
+    lists = [_random_values(rng, n_max=120, v_max=rng.choice([2, 3, 6])) for _ in range(150)]
+    lists += [[rng.randint(1, v_max) for _ in range(n)] for n, v_max in ((300, 3), (700, 10**6))]
+    lists.append(generators.generate("two-cluster", 512, 0))
+    for values in lists:
         w = WeightList.from_values(values)
         p = WeightList(tuple(sorted(w.items)), sorted_flag=True)
+        c = w.sorted_copy()
+        shuffled = WeightList(tuple(rng.sample(c.items, len(c))))
         best = code_cost(w, huffman_lengths(w))
         for mode in (DETAILED, BASIC):
             pu, su = construct_lengths(w, mode)
@@ -305,6 +314,10 @@ def test_presorted_lists_whose_indices_are_not_positions():
             assert pp.lengths == pu.lengths
             assert (sp.iterations, sp.trace) == (su.iterations, su.trace)
             assert code_cost(p, pp) == best
+            pc, sc = construct_lengths(c, mode)
+            ps, ss = construct_lengths(shuffled, mode)
+            assert pc.lengths == ps.lengths
+            assert (sc.iterations, sc.trace) == (ss.iterations, ss.trace)
 
 
 def _identity_lists():

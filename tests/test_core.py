@@ -116,6 +116,24 @@ def test_weight_list_rejects_non_integers():
     assert WeightList.from_values([True, 2, IntLike(5)]).values() == [1, 2, 5]
 
 
+def test_weight_list_positional_flag():
+    # True when every index is its position; derived, so it takes no part
+    # in equality, hashing or repr
+    assert WeightList.from_values([3, 1, 2]).positional
+    assert WeightList.from_values([1, 2, 2], sorted_flag=True).positional
+    assert WeightList.from_values([5, 1, 3]).sorted_copy().positional
+    items = (WeightItem(1, 1), WeightItem(2, 0))
+    for sorted_flag in (False, True):
+        permuted = WeightList(items, sorted_flag)
+        assert not permuted.positional
+        assert "positional" not in repr(permuted)
+    a = WeightList((WeightItem(2, 0), WeightItem(1, 1)))
+    b = WeightList((WeightItem(2, 0), WeightItem(1, 1)))
+    object.__setattr__(b, "positional", False)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "positional" not in repr(a)
+
+
 def test_sorted_copy():
     w = WeightList.from_values([5, 1, 3]).sorted_copy()
     assert w.sorted_flag and w.values() == [1, 3, 5]

@@ -7,6 +7,8 @@ from mrcode import (ComparisonCounter, InvalidAssignmentError, LeafSlice,
                     WeightItem, WeightList, add_weights, cut,
                     find_splitting_all, find_splitting_internal,
                     find_t_largest, find_t_smallest, node_count)
+from mrcode import split
+from mrcode.core import MAX_WEIGHT
 from mrcode.split import Store
 from oracles import (WORKED_VALUES, materialize, random_level_state,
                      split_fixture_state, splitting_rank_all)
@@ -257,17 +259,25 @@ def test_work_bound_scales_with_depth_and_size():
 
 
 def test_presorted_range_sums():
-    # a presorted slice sums each of its ranges from the store's prefix sums
+    # a presorted slice sums each of its ranges from the store's block
+    # totals; sizes around the block length, and values up to MAX_WEIGHT,
+    # so that sums pass 2^63
     rng = random.Random(64)
-    for size in (1, 2, 63, 197):
-        arr = sorted(WeightItem(rng.randint(1, 10**6), i) for i in range(size))
-        ref = [0, *accumulate(it.value for it in arr)]
+    block = split._BLOCK
+    for size in (0, 1, 2, 63, 197, block - 1, block, block + 1, 3 * block + 1):
+        arr = sorted(WeightItem(rng.choice([rng.randint(1, 10**6), rng.randint(1, MAX_WEIGHT),
+                                            MAX_WEIGHT]), i)
+                     for i in range(size))
+        values = [it.value for it in arr]
+        ref = [0, *accumulate(values)]
         store = Store(arr, True)
+        assert [store.prefix(j) for j in range(size + 1)] == ref
+        assert size < 63 or ref[-1] > 2**63
         for lo in range(size):
             for hi in range(lo + 1, size + 1):
                 assert LeafSlice(store, {0: (lo, hi)}, hi - lo).total_value() == \
-                    ref[hi] - ref[lo]
-        if size == 1:
+                    sum(values[lo:hi])
+        if size <= 1:
             continue  # a slice of two levels needs two weights
         for _ in range(200):
             # one range inside each level's run, the runs ascending by level
