@@ -16,7 +16,8 @@ from typing import Callable, Literal, Sequence
 
 from .core import (CodeLengthProfile, ComparisonCounter, ConstructionStats,
                    LevelTraceEntry, WeightItem, WeightList)
-from .split import LeafSlice, Store, _fsa, _rank_split, node_count as _node_count
+from .split import (LeafSlice, Positions, Store, _fsa, _rank_split,
+                    node_count as _node_count)
 
 
 @dataclass(frozen=True)
@@ -33,19 +34,20 @@ class PendingPool:
 
     ``arr[:cur]`` holds the weights assigned to levels (their runs belong
     to `_Levels`), and ``arr[cur:]`` the weights not yet assigned.
-    Unsorted pools copy the input to a list, which selections reorder in
-    place, and find their two smallest by one counted scan, kept until
-    `take_below` assigns a weight.  Presorted pools keep the ascending
-    input's tuple, which nothing writes: the minimum is positional and
-    threshold extraction runs an exponential search followed by a binary
-    search, counting each probe.
+    Unsorted pools (``vals`` None) copy the input to a list, which
+    selections reorder in place, and find their two smallest by one
+    counted scan, kept until `take_below` assigns a weight.  Presorted
+    pools keep the ascending input, which nothing writes, with ``vals``
+    its values by position: the minimum is positional and threshold
+    extraction runs an exponential search followed by a binary search
+    over ``vals``, counting each probe.
     """
 
-    def __init__(self, items: Sequence[WeightItem], presorted: bool,
+    def __init__(self, items: Sequence[WeightItem], vals: Sequence[int] | None,
                  counter: ComparisonCounter):
-        self.presorted = presorted
+        self.vals = vals
         self.cnt = counter
-        self.arr: Sequence[WeightItem] = items if presorted else list(items)
+        self.arr: Sequence[WeightItem] = list(items) if vals is None else items
         self.cur = 0
         self.two = None  # unsorted: the two smallest of arr[cur:], once scanned
 
@@ -59,7 +61,7 @@ class PendingPool:
         if not len(self):
             raise ValueError("empty pool")
         arr, c = self.arr, self.cur
-        if self.presorted:
+        if self.vals is not None:
             return arr[c], arr[c + 1] if len(self) > 1 else None
         if self.two is None:
             self.two = _two_smallest(arr[c:], self.cnt)
@@ -70,8 +72,8 @@ class PendingPool:
         to the front of the pool, keeping their order, and advance the
         cursor past them.  Returns how many there were."""
         cnt = self.cnt
-        arr, c, n = self.arr, self.cur, len(self.arr)
-        if not self.presorted:
+        arr, vals, c, n = self.arr, self.vals, self.cur, len(self.arr)
+        if vals is None:
             taken = []
             kept = []
             for x in arr[c:]:
@@ -85,12 +87,12 @@ class PendingPool:
         if c == n:
             return 0
         cnt.count += 1
-        if not arr[c][0] < bound:
+        if not vals[c] < bound:
             return 0
         step = 1
         while c + step < n:
             cnt.count += 1
-            if arr[c + step][0] < bound:
+            if vals[c + step] < bound:
                 step <<= 1
             else:
                 break
@@ -99,7 +101,7 @@ class PendingPool:
         while lo < hi:
             mid = (lo + hi) // 2
             cnt.count += 1
-            if arr[mid][0] < bound:
+            if vals[mid] < bound:
                 lo = mid + 1
             else:
                 hi = mid
@@ -114,8 +116,9 @@ class _Levels(Store):
     ascend with the level and tile ``arr[:pool.cur]``, so each run is one
     distinct codeword length.  In presorted mode the list never changes:
     the weights of each level are a run of the sorted input, and a range
-    sums from the store's block totals.  In unsorted mode selections
-    reorder a run in place, keeping every range's weights.  `add` appends weights that rank above the level's leaves and
+    sums from the store's block totals of the pool's values.  In unsorted
+    mode selections reorder a run in place, keeping every range's
+    weights.  `add` appends weights that rank above the level's leaves and
     `apply_move` hands a level, at its low end, weights that rank below
     its leaves, so the query memo stays valid for the whole construction;
     `construct_lengths` clears it on return.
@@ -124,7 +127,7 @@ class _Levels(Store):
     __slots__ = ("runs",)
 
     def __init__(self, pool: PendingPool):
-        super().__init__(pool.arr, pool.presorted)
+        super().__init__(pool.arr, pool.vals)
         self.runs: dict[int, tuple[int, int]] = {}
 
     def top(self) -> int:
@@ -287,7 +290,14 @@ def construct_lengths(weights: WeightList,
         stats = ConstructionStats(0, counter.count, 1, ())
         return CodeLengthProfile((1,)), stats
 
-    pool = PendingPool(weights.items, weights.sorted_flag, counter)
+    if not weights.sorted_flag:
+        pool = PendingPool(weights.items, None, counter)
+    else:
+        # a presorted construction reads values; a positional list makes
+        # its few items on read
+        vals = weights._ints()
+        pool = PendingPool(Positions(vals) if weights.positional else weights.items,
+                           vals, counter)
     levels = _Levels(pool)
     trace = [LevelTraceEntry(0, _assign_level0(levels, pool), 0)]
     if iteration_hook:
@@ -321,10 +331,13 @@ def construct_lengths(weights: WeightList,
     if iteration_hook:
         iteration_hook(levels.snapshot())
 
-    if weights.sorted_flag and weights.positional:
-        # the runs tile the input in position order, and position is index
-        lengths = tuple(chain.from_iterable(
-            repeat(root - lv, hi - lo) for lv, (lo, hi) in levels.runs.items()))
+    if type(pool.arr) is Positions:
+        # the runs tile the input in position order, and position is index;
+        # the top level's length is the shortest of the k
+        if root <= levels.top():
+            raise AssertionError(f"root level {root} is not above the top level")
+        profile = CodeLengthProfile._checked(tuple(chain.from_iterable(
+            repeat(root - lv, hi - lo) for lv, (lo, hi) in levels.runs.items())))
     else:
         lengths = [0] * n
         arr = pool.arr
@@ -332,7 +345,7 @@ def construct_lengths(weights: WeightList,
             code_len = root - lv
             for it in arr[lo:hi]:
                 lengths[it[1]] = code_len
-    profile = CodeLengthProfile(tuple(lengths))
+        profile = CodeLengthProfile(tuple(lengths))
     k = len(levels.runs)  # each run is one non-empty level: one distinct length
     if iterations > 2 * k:
         raise AssertionError(

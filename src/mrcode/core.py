@@ -51,11 +51,23 @@ class LevelTraceEntry(NamedTuple):
     moved: int
 
 
+def _range_error(value) -> ValueError:
+    return ValueError(f"weight {value} out of range [1, 2^63-1]")
+
+
+_UNSORTED = "sorted_flag set but sequence is not non-decreasing in (value, index) order"
+
+
+def _positional_items(vals: Sequence[int]) -> tuple[WeightItem, ...]:
+    # tuple.__new__ makes each WeightItem without a Python-level call
+    return tuple(map(tuple.__new__, repeat(WeightItem), zip(vals, count())))
+
+
 def _check_items(items: Sequence[WeightItem]) -> None:
     seen = set()
     for it in items:
         if not 1 <= it.value <= MAX_WEIGHT:
-            raise ValueError(f"weight {it.value} out of range [1, 2^63-1]")
+            raise _range_error(it.value)
         if it.index in seen:
             raise ValueError(f"duplicate weight index {it.index}")
         seen.add(it.index)
@@ -71,11 +83,37 @@ class WeightList:
     arithmetic (zero counted comparisons).  ``positional`` is True when
     every weight's index is its position in ``items``; it is derived from
     the items and takes no part in equality, hashing or ``repr``.
+
+    A list built by `from_values` keeps its own tuple of the values, as
+    ints.  A presorted construction reads only those, so a presorted list
+    makes ``items`` from them on first use; an unsorted construction
+    reads every item, so an unsorted list makes them at once.  A list
+    built from items makes its tuple of values on first use (`_ints`).
+    Each is made once and never changes, and ``items`` alone enters
+    equality, hashing and ``repr``, so lists of the same items compare,
+    hash and print alike however they were built.
     """
 
     items: tuple[WeightItem, ...]
     sorted_flag: bool = False
     positional: bool = field(default=False, init=False, repr=False, compare=False)
+    _vals = None  # not a field: the values by position, once made
+
+    def __getattr__(self, name: str):
+        # reached only for ``items`` of a presorted list from `from_values`
+        if name != "items":
+            raise AttributeError(name)
+        items = _positional_items(self._vals)
+        object.__setattr__(self, "items", items)
+        return items
+
+    def _ints(self) -> tuple[int, ...]:
+        """The values by position, as a tuple of ints."""
+        vals = self._vals
+        if vals is None:
+            vals = tuple(map(operator.itemgetter(0), self.items))
+            object.__setattr__(self, "_vals", vals)
+        return vals
 
     def __post_init__(self) -> None:
         try:
@@ -91,8 +129,7 @@ class WeightList:
         if self.sorted_flag:
             for a, b in zip(self.items, self.items[1:]):
                 if b < a:
-                    raise ValueError("sorted_flag set but sequence is not "
-                                     "non-decreasing in (value, index) order")
+                    raise ValueError(_UNSORTED)
 
     def _passes_checks(self) -> bool:
         """The checks of `__post_init__` with C-level iteration; True iff
@@ -114,13 +151,13 @@ class WeightList:
     def from_values(cls, values: Iterable[int], sorted_flag: bool = False) -> "WeightList":
         """Weights tagged with their positions.  Each value must be an
         integer (``int`` or any type with ``__index__``); anything else,
-        a float included, raises `TypeError` rather than being truncated."""
+        a float included, raises `TypeError` rather than being truncated.
+        The list keeps a copy of the values: changing `values` later does
+        not change it."""
         if not isinstance(values, (list, tuple)):
             values = list(values)  # read again below if a value is bad
         try:
-            # tuple.__new__ makes each WeightItem without a Python-level call
-            items = tuple(map(tuple.__new__, repeat(WeightItem),
-                              zip(map(operator.index, values), count())))
+            vals = tuple(map(operator.index, values))
         except TypeError:
             for v in values:
                 try:
@@ -128,18 +165,33 @@ class WeightList:
                 except TypeError:
                     raise TypeError(f"weight {v!r} is not an integer") from None
             raise
-        return cls(items, sorted_flag)
+        # equal values tie-break by index, which ascends with position, so
+        # ascending values are in (value, index) order
+        ordered = not sorted_flag or all(map(operator.le, vals, islice(vals, 1, None)))
+        if vals:
+            lo, hi = (vals[0], vals[-1]) if sorted_flag and ordered else (min(vals), max(vals))
+            if lo < 1 or hi > MAX_WEIGHT:
+                raise _range_error(next(v for v in vals if not 1 <= v <= MAX_WEIGHT))
+        if not ordered:
+            raise ValueError(_UNSORTED)
+        self = object.__new__(cls)
+        object.__setattr__(self, "sorted_flag", sorted_flag)
+        object.__setattr__(self, "positional", True)
+        object.__setattr__(self, "_vals", vals)
+        if not sorted_flag:
+            object.__setattr__(self, "items", _positional_items(vals))
+        return self
 
     def sorted_copy(self) -> "WeightList":
         """Same multiset, re-indexed in ascending value order, flagged sorted."""
-        vals = sorted(it.value for it in self.items)
-        return WeightList.from_values(vals, sorted_flag=True)
+        return WeightList.from_values(sorted(self._ints()), sorted_flag=True)
 
     def __len__(self) -> int:
-        return len(self.items)
+        vals = self._vals
+        return len(self.items if vals is None else vals)
 
     def values(self) -> list[int]:
-        return [it.value for it in self.items]
+        return list(self._ints())
 
 
 @dataclass(frozen=True)
@@ -153,6 +205,14 @@ class CodeLengthProfile:
             raise ValueError("empty length profile")
         if min(self.lengths) < 1:
             raise ValueError("codeword lengths must be >= 1")
+
+    @classmethod
+    def _checked(cls, lengths: tuple[int, ...]) -> "CodeLengthProfile":
+        """A profile of lengths the caller has shown to be non-empty and
+        at least 1, without a second pass over them."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "lengths", lengths)
+        return profile
 
     @property
     def kraft(self) -> Fraction:

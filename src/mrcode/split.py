@@ -25,7 +25,7 @@ its weights; a range whose weights a move raises keys a new entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -41,16 +41,40 @@ _index = itemgetter(1)
 _BLOCK = 128
 
 
+class Positions:
+    """Read-only sequence of ``WeightItem(vals[i], i)``: the items of a
+    list whose every index is its position, made when read.  A presorted
+    construction reads O(polylog n) of them, and slices only to hand
+    leaves out."""
+
+    __slots__ = ("vals",)
+
+    def __init__(self, vals: Sequence[int]):
+        self.vals = vals
+
+    def __len__(self) -> int:
+        return len(self.vals)
+
+    def __getitem__(self, i):
+        n = len(self.vals)
+        if type(i) is slice:
+            return list(map(tuple.__new__, repeat(WeightItem),
+                            zip(self.vals[i], range(*i.indices(n)))))
+        return tuple.__new__(WeightItem, (self.vals[i], range(n)[i]))
+
+
 class Store:
     """The weights that every slice of one construction indexes.
 
-    A presorted store, whose weights are in (value, index) order and
-    never written (a construction passes the input's tuple itself), keeps
-    in ``psum`` one running total every `_BLOCK` positions: ``psum[b]`` is
-    the total of ``arr[:b * _BLOCK]``.  Building them is one C-level sum
-    per block, and a prefix total adds at most ``_BLOCK - 1`` values to
-    one of them (`prefix`).  An unsorted store has ``psum`` None, and
-    ``psum is not None`` is the test for presorted.
+    A presorted store's weights are in (value, index) order and never
+    written: ``arr`` is the input's tuple of items, or a `Positions` view
+    of its values when every index is its position, and ``vals`` holds
+    the values by position as ints.  ``psum`` holds one running total
+    every `_BLOCK` positions, made on each construction: ``psum[b]`` is
+    the total of ``vals[:b * _BLOCK]``.  Building them is one C-level sum
+    of ints per block, and a prefix total adds at most ``_BLOCK - 1``
+    values to one of them (`prefix`).  An unsorted store has ``vals`` and
+    ``psum`` None, and ``vals is not None`` is the test for presorted.
     ``memo`` maps the level of a `_fsi` query and its ranges, each with
     its level, to the result, for as long as the store lives (the module
     docstring says why the ranges keep their weights).  Cached slices
@@ -58,21 +82,22 @@ class Store:
     it.  ``hits`` counts the queries it answered.
     """
 
-    __slots__ = ("arr", "psum", "memo", "hits")
+    __slots__ = ("arr", "vals", "psum", "memo", "hits")
 
-    def __init__(self, arr: Sequence[WeightItem], presorted: bool):
+    def __init__(self, arr: Sequence[WeightItem], vals: Sequence[int] | None):
         self.arr = arr
+        self.vals = vals
         self.psum = None
-        if presorted:
-            self.psum = [0, *accumulate(sum(map(_value, arr[i:i + _BLOCK]))
-                                        for i in range(0, len(arr), _BLOCK))]
+        if vals is not None:
+            self.psum = [0, *accumulate(sum(vals[i:i + _BLOCK])
+                                        for i in range(0, len(vals), _BLOCK))]
         self.memo: dict[tuple, tuple] = {}
         self.hits = 0
 
     def prefix(self, j: int) -> int:
         """Total value of ``arr[:j]`` in a presorted store."""
         b = j // _BLOCK
-        return self.psum[b] + sum(map(_value, self.arr[b * _BLOCK:j]))
+        return self.psum[b] + sum(self.vals[b * _BLOCK:j])
 
 
 class LeafSlice:
@@ -101,7 +126,8 @@ class LeafSlice:
             if items:
                 runs[lv] = (len(arr), len(arr) + len(items))
                 arr += items
-        return cls(Store(arr, presorted), runs, len(arr))
+        return cls(Store(arr, list(map(_value, arr)) if presorted else None),
+                   runs, len(arr))
 
     def levels(self) -> list[int]:
         return sorted(self.runs)
@@ -118,19 +144,21 @@ class LeafSlice:
 
     def total_value(self) -> int:
         st = self.store
-        arr = st.arr
+        arr, vals = st.arr, st.vals
         total = 0
         for lo, hi in self.runs.values():
-            if hi - lo == 1:
-                total += arr[lo][0]
-            elif hi - lo < _BLOCK or st.psum is None:
-                total += sum(map(_value, arr[lo:hi]))
+            if vals is None:
+                total += arr[lo][0] if hi - lo == 1 else sum(map(_value, arr[lo:hi]))
+            elif hi - lo < _BLOCK:
+                total += sum(vals[lo:hi])
             else:
                 total += st.prefix(hi) - st.prefix(lo)
         return total
 
     def min_index(self) -> int:
         arr = self.store.arr
+        if type(arr) is Positions:  # every index is its position
+            return min(lo for lo, _ in self.runs.values())
         return min(min(map(_index, arr[lo:hi])) for lo, hi in self.runs.values())
 
     def __len__(self) -> int:
@@ -207,7 +235,7 @@ def _leaf_select(store: Store, lo: int, hi: int, t: int, cnt) -> WeightItem:
     if not 1 <= t <= hi - lo:
         raise ValueError(f"rank {t} out of range 1..{hi - lo}")
     arr = store.arr
-    if store.psum is not None or hi - lo == 1:
+    if store.vals is not None or hi - lo == 1:
         return arr[lo + t - 1]
     item, lows, highs = select_rank(arr[lo:hi], t, cnt)
     arr[lo:hi] = [*lows, item, *highs]

@@ -460,6 +460,29 @@ def test_runs_grow_at_their_ends_in_rank_order(monkeypatch):
     assert joins > 0
 
 
+def test_values_in_and_items_built_lists_construct_alike():
+    # a presorted construction reads a from_values list's ints and makes
+    # items only when it hands them out; the list built from the same
+    # items must give the same lengths, counts, trace and hook snapshots
+    # (compared in the detailed mode only: basic takes one snapshot per
+    # level, each of all 98 306 weights)
+    values = sorted(generators.example41(65536, 0))
+    built = WeightList(tuple(WeightList.from_values(values).items), sorted_flag=True)
+    for mode in (DETAILED, BASIC):
+        snaps = []  # the items-built list's snapshots share its items
+        hook = snaps.append if mode is DETAILED else None
+        expected = construct_lengths(built, mode, iteration_hook=hook)
+        seen = iter(snaps)
+
+        def check(snap):
+            assert snap == next(seen)
+
+        got = construct_lengths(WeightList.from_values(values, sorted_flag=True), mode,
+                                iteration_hook=hook and check)
+        assert got == expected and next(seen, None) is None
+        assert len(got[0]) == 98306 and (hook is None or len(snaps) > 2)
+
+
 def test_no_store_outlives_its_construction():
     # cached slices point back at their store; the memo is cleared when a
     # construction returns, so no store waits for the cycle collector
@@ -642,7 +665,7 @@ def test_pool_counted_scans():
     # one two-smallest scan serves min_item and two_smallest until
     # take_below assigns a weight
     cnt = ComparisonCounter()
-    pool = PendingPool(WeightList.from_values([4, 1, 3, 2]).items, False, cnt)
+    pool = PendingPool(WeightList.from_values([4, 1, 3, 2]).items, None, cnt)
     assert pool.min_item().value == 1
     assert cnt.count == 5
     a, b = pool.two_smallest()
@@ -657,8 +680,8 @@ def test_pool_counted_scans():
 
 def test_pool_sorted_cursor_is_cheap():
     cnt = ComparisonCounter()
-    items = WeightList.from_values(list(range(1, 101)), sorted_flag=True).items
-    pool = PendingPool(items, True, cnt)
+    w = WeightList.from_values(list(range(1, 101)), sorted_flag=True)
+    pool = PendingPool(w.items, w.values(), cnt)
     assert pool.min_item().value == 1
     assert cnt.count == 0
     assert pool.take_below(51) == 50 and len(pool) == 50

@@ -1,3 +1,4 @@
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -7,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from mrcode import (CodeLengthProfile, InvalidAssignmentError, LevelState,
                     WeightItem, WeightList, assignment_from_lengths,
-                    code_cost, distinct_length_count, kraft_sum, monotone,
-                    verify_exclusion)
+                    code_cost, construct_lengths, distinct_length_count,
+                    generators, kraft_sum, monotone, verify_exclusion)
+from mrcode.core import MAX_WEIGHT
 from oracles import WORKED_COST, WORKED_VALUES
 
 
@@ -132,6 +134,60 @@ def test_weight_list_positional_flag():
     object.__setattr__(b, "positional", False)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert "positional" not in repr(a)
+
+
+def _bad_inputs():
+    """(values, sorted_flag) pairs that the range or order check rejects,
+    some with both faults."""
+    return [([0, 1], False), ([1, 2**63], False), ([2, 0, 1], False),
+            ([3, 1, 2], True), ([1, 2, 2, 1], True), ([3, 0, 2], True),
+            ([2, 1, 2**63], True), ([0], True), ([2**63, 2**63 + 1], True),
+            ([0, 1, 1], True), ([1, 2, 2**63], True)]
+
+
+def test_values_in_list_matches_items_list():
+    # a from_values list keeps its values as ints, and a presorted one
+    # makes items on first use; it must equal, hash and print like the
+    # list built from the same items, and reject what that list rejects,
+    # with the same message
+    rng = random.Random(69)
+    cases = [([5], False), ([1, MAX_WEIGHT], True), ([2, 2, 1], False)]
+    for n in (2, 30, 300):
+        values = [rng.randint(1, rng.choice([2, 5, MAX_WEIGHT])) for _ in range(n)]
+        cases += [(values, False), (sorted(values), True)]
+    for values, sorted_flag in cases:
+        w = WeightList.from_values(values, sorted_flag)
+        assert ("items" in vars(w)) == (not sorted_flag)  # presorted: made when read
+        assert len(w) == len(values) and w.values() == values and w.positional
+        ref = WeightList(tuple(WeightItem(v, i) for i, v in enumerate(values)), sorted_flag)
+        assert ref == w and w == ref and hash(w) == hash(ref) and repr(w) == repr(ref)
+        assert w.items == ref.items and type(w.items[0]) is WeightItem
+        assert w.sorted_copy() == ref.sorted_copy()
+    for values, sorted_flag in _bad_inputs():
+        items = tuple(WeightItem(v, i) for i, v in enumerate(values))
+        with pytest.raises(ValueError) as from_items:
+            WeightList(items, sorted_flag)
+        with pytest.raises(ValueError) as from_values:
+            WeightList.from_values(values, sorted_flag)
+        assert type(from_values.value) is type(from_items.value)
+        assert str(from_values.value) == str(from_items.value)
+
+
+def test_from_values_copies_its_input():
+    # changing the caller's list after from_values, before or after items
+    # are first read, changes neither the items nor a construction
+    values = sorted(generators.example41(256, 0))
+    expected = construct_lengths(WeightList.from_values(values, True))
+    for read_first in (False, True):
+        src = list(values)
+        w = WeightList.from_values(src, sorted_flag=True)
+        if read_first:
+            w.items
+        src[0] = 10**6
+        src.append(1)
+        assert w.values() == values
+        assert w.items == tuple(WeightItem(v, i) for i, v in enumerate(values))
+        assert construct_lengths(w) == expected
 
 
 def test_sorted_copy():

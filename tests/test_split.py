@@ -270,7 +270,7 @@ def test_presorted_range_sums():
                      for i in range(size))
         values = [it.value for it in arr]
         ref = [0, *accumulate(values)]
-        store = Store(arr, True)
+        store = Store(arr, values)
         assert [store.prefix(j) for j in range(size + 1)] == ref
         assert size < 63 or ref[-1] > 2**63
         for lo in range(size):
@@ -289,6 +289,30 @@ def test_presorted_range_sums():
             sl = LeafSlice(store, runs, sum(hi - lo for lo, hi in runs.values()))
             assert sl.total_value() == sum(ref[hi] - ref[lo] for lo, hi in runs.values())
             assert sl.total_value() == add_weights(sl.all_items())
+
+
+def test_positional_min_index_equals_scan():
+    # on a store whose every index is its position, a slice's smallest
+    # index is the smallest low end of its ranges; it must equal the scan
+    # of an items-built store, and so must every item read and range sum,
+    # on presorted lists with heavy ties
+    rng = random.Random(68)
+    for size in (1, 2, 7, split._BLOCK + 3, 3 * split._BLOCK + 1):
+        values = sorted(rng.randint(1, rng.choice([1, 2, 3, 10**6])) for _ in range(size))
+        items = tuple(WeightItem(v, i) for i, v in enumerate(values))
+        view = split.Positions(tuple(values))
+        assert len(view) == size and list(view) == list(items)
+        assert view[0:size] == list(items) and view[size - 1] == view[-1] == items[-1]
+        positional, scanned = Store(view, values), Store(items, values)
+        for _ in range(300):
+            k = 2 * rng.randint(1, min(3, (size + 1) // 2))  # range ends
+            cuts = sorted(rng.sample(range(size + 1), k))
+            runs = dict(enumerate(zip(cuts[::2], cuts[1::2])))
+            n = sum(hi - lo for lo, hi in runs.values())
+            a, b = LeafSlice(positional, runs, n), LeafSlice(scanned, runs, n)
+            assert a.min_index() == b.min_index() == min(it.index for it in b.all_items())
+            assert a.all_items() == b.all_items()
+            assert a.total_value() == b.total_value()
 
 
 def test_presorted_slices_validate_order():
