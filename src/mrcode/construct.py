@@ -295,7 +295,7 @@ def construct_lengths(weights: WeightList,
     else:
         # a presorted construction reads values; a positional list makes
         # its few items on read
-        vals = weights._ints()
+        vals = weights._vals
         pool = PendingPool(Positions(vals) if weights.positional else weights.items,
                            vals, counter)
     levels = _Levels(pool)

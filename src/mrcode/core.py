@@ -11,8 +11,8 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice, repeat
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain, count, islice, repeat
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 MAX_WEIGHT = 2**63 - 1
 
@@ -51,26 +51,53 @@ class LevelTraceEntry(NamedTuple):
     moved: int
 
 
-def _range_error(value) -> ValueError:
-    return ValueError(f"weight {value} out of range [1, 2^63-1]")
-
-
-_UNSORTED = "sorted_flag set but sequence is not non-decreasing in (value, index) order"
-
-
-def _positional_items(vals: Sequence[int]) -> tuple[WeightItem, ...]:
+def _make_items(vals: Iterable[int], idx: Iterable[int]) -> tuple[WeightItem, ...]:
     # tuple.__new__ makes each WeightItem without a Python-level call
-    return tuple(map(tuple.__new__, repeat(WeightItem), zip(vals, count())))
+    return tuple(map(tuple.__new__, repeat(WeightItem), zip(vals, idx)))
 
 
-def _check_items(items: Sequence[WeightItem]) -> None:
+def _as_int(x, what: str) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{what} {x!r} is not an integer") from None
+
+
+def _check_items(items: Iterable[tuple]) -> set[int]:
+    """Raises for the first faulty (value, index) pair in input order;
+    returns the indices."""
     seen = set()
-    for it in items:
-        if not 1 <= it.value <= MAX_WEIGHT:
-            raise _range_error(it.value)
-        if it.index in seen:
-            raise ValueError(f"duplicate weight index {it.index}")
-        seen.add(it.index)
+    for v, i in items:
+        if not 1 <= (v := _as_int(v, "weight")) <= MAX_WEIGHT:
+            raise ValueError(f"weight {v} out of range [1, 2^63-1]")
+        if (i := _as_int(i, "weight index")) in seen:
+            raise ValueError(f"duplicate weight index {i}")
+        seen.add(i)
+    return seen
+
+
+def _passes(vals: tuple[int, ...], idx: tuple[int, ...] | None, sorted_flag: bool) -> bool:
+    """True iff ints `vals` with indices `idx` (None: the positions) pass
+    every check of a `WeightList`, by C-level iteration."""
+    if not vals:
+        return True
+    if sorted_flag:  # ties go by index, which ascends with position
+        keys = vals if idx is None else tuple(zip(vals, idx))
+        if not all(map(operator.le, keys, islice(keys, 1, None))):
+            return False
+        lo, hi = vals[0], vals[-1]
+    else:
+        lo, hi = min(vals), max(vals)
+    return (1 <= lo and hi <= MAX_WEIGHT
+            and (idx is None or sorted(idx) == list(range(len(idx)))))
+
+
+def _raise_fault(items: Iterable[tuple]) -> NoReturn:
+    """Raises the error of (value, index) pairs that fail `_passes`."""
+    seen = _check_items(items)
+    if seen != set(range(len(seen))):
+        raise ValueError("weight indices must cover 0..n-1 exactly once")
+    raise ValueError("sorted_flag set but sequence is not non-decreasing in (value, index) order")
 
 
 @dataclass(frozen=True)
@@ -84,114 +111,73 @@ class WeightList:
     every weight's index is its position in ``items``; it is derived from
     the items and takes no part in equality, hashing or ``repr``.
 
-    A list built by `from_values` keeps its own tuple of the values, as
-    ints.  A presorted construction reads only those, so a presorted list
-    makes ``items`` from them on first use; an unsorted construction
-    reads every item, so an unsorted list makes them at once.  A list
-    built from items makes its tuple of values on first use (`_ints`).
-    Each is made once and never changes, and ``items`` alone enters
-    equality, hashing and ``repr``, so lists of the same items compare,
-    hash and print alike however they were built.
+    Both constructors pass every value and index through `operator.index`
+    and keep the ints, so a float, str, `Decimal` or NaN raises
+    `TypeError` and a ``bool`` is stored as an ``int``.  Values lie in
+    1..2^63-1 and the indices cover 0..n-1 once each; `_check_items` names
+    the first fault in input order.  Every list holds its values by
+    position as a tuple of ints (``_vals``), which a presorted
+    construction reads, and its own ``items`` of ints, made at once or,
+    for a presorted list from `from_values`, on first read.  ``items``
+    alone enters equality, hashing and ``repr``.
     """
 
     items: tuple[WeightItem, ...]
     sorted_flag: bool = False
     positional: bool = field(default=False, init=False, repr=False, compare=False)
-    _vals = None  # not a field: the values by position, once made
 
     def __getattr__(self, name: str):
         # reached only for ``items`` of a presorted list from `from_values`
         if name != "items":
             raise AttributeError(name)
-        items = _positional_items(self._vals)
+        items = _make_items(self._vals, count())
         object.__setattr__(self, "items", items)
         return items
 
-    def _ints(self) -> tuple[int, ...]:
-        """The values by position, as a tuple of ints."""
-        vals = self._vals
-        if vals is None:
-            vals = tuple(map(operator.itemgetter(0), self.items))
-            object.__setattr__(self, "_vals", vals)
-        return vals
-
     def __post_init__(self) -> None:
-        try:
-            if self._passes_checks():
-                return
-        except TypeError:
-            pass
-        # the checks again, item by item: the first fault names the error
-        _check_items(self.items)
-        indices = sorted(it.index for it in self.items)
-        if indices != list(range(len(self.items))):
-            raise ValueError("weight indices must cover 0..n-1 exactly once")
-        if self.sorted_flag:
-            for a, b in zip(self.items, self.items[1:]):
-                if b < a:
-                    raise ValueError(_UNSORTED)
-
-    def _passes_checks(self) -> bool:
-        """The checks of `__post_init__` with C-level iteration; True iff
-        every one passes.  The range test compares each value, as the
-        item loop does, so that a NaN cannot slip past a `min`.  Nothing
-        of size n is built unless the indices are not 0..n-1 in order.
-        Sets ``positional`` from the first index test."""
         items = self.items
         value, index = operator.itemgetter(0), operator.itemgetter(1)
-        positional = all(map(operator.eq, map(index, items), count()))
+        try:
+            vals = tuple(map(operator.index, map(value, items)))
+            idx = tuple(map(operator.index, map(index, items)))
+        except TypeError:
+            _raise_fault(items)
+        positional = all(map(operator.eq, idx, count()))
+        if not _passes(vals, None if positional else idx, self.sorted_flag):
+            _raise_fault(items)
+        object.__setattr__(self, "items", _make_items(vals, idx))
         object.__setattr__(self, "positional", positional)
-        return (all(map(operator.le, repeat(1), map(value, items)))
-                and all(map(operator.le, map(value, items), repeat(MAX_WEIGHT)))
-                and (positional or sorted(map(index, items)) == list(range(len(items))))
-                and (not self.sorted_flag
-                     or all(map(operator.le, items, islice(items, 1, None)))))
+        object.__setattr__(self, "_vals", vals)
 
     @classmethod
     def from_values(cls, values: Iterable[int], sorted_flag: bool = False) -> "WeightList":
-        """Weights tagged with their positions.  Each value must be an
-        integer (``int`` or any type with ``__index__``); anything else,
-        a float included, raises `TypeError` rather than being truncated.
-        The list keeps a copy of the values: changing `values` later does
-        not change it."""
+        """Weights tagged with their positions.  The list keeps a copy of
+        the values: changing `values` later does not change it."""
         if not isinstance(values, (list, tuple)):
             values = list(values)  # read again below if a value is bad
         try:
             vals = tuple(map(operator.index, values))
         except TypeError:
-            for v in values:
-                try:
-                    operator.index(v)
-                except TypeError:
-                    raise TypeError(f"weight {v!r} is not an integer") from None
-            raise
-        # equal values tie-break by index, which ascends with position, so
-        # ascending values are in (value, index) order
-        ordered = not sorted_flag or all(map(operator.le, vals, islice(vals, 1, None)))
-        if vals:
-            lo, hi = (vals[0], vals[-1]) if sorted_flag and ordered else (min(vals), max(vals))
-            if lo < 1 or hi > MAX_WEIGHT:
-                raise _range_error(next(v for v in vals if not 1 <= v <= MAX_WEIGHT))
-        if not ordered:
-            raise ValueError(_UNSORTED)
+            _raise_fault(zip(values, count()))
+        if not _passes(vals, None, sorted_flag):
+            _raise_fault(zip(vals, count()))
         self = object.__new__(cls)
         object.__setattr__(self, "sorted_flag", sorted_flag)
         object.__setattr__(self, "positional", True)
         object.__setattr__(self, "_vals", vals)
         if not sorted_flag:
-            object.__setattr__(self, "items", _positional_items(vals))
+            object.__setattr__(self, "items", _make_items(vals, count()))
         return self
 
     def sorted_copy(self) -> "WeightList":
         """Same multiset, re-indexed in ascending value order, flagged sorted."""
-        return WeightList.from_values(sorted(self._ints()), sorted_flag=True)
+        return WeightList.from_values(sorted(self._vals), sorted_flag=True)
 
     def __len__(self) -> int:
-        vals = self._vals
-        return len(self.items if vals is None else vals)
+        return len(self._vals)
 
     def values(self) -> list[int]:
-        return list(self._ints())
+        return list(self._vals)
 
 
 @dataclass(frozen=True)
@@ -246,8 +232,7 @@ class LevelState:
                 raise ValueError("levels are non-negative")
             if not items:
                 raise ValueError(f"level {lv} present but empty")
-        all_items = [it for items in self.levels.values() for it in items]
-        _check_items(all_items)
+        _check_items(chain.from_iterable(self.levels.values()))
 
     @classmethod
     def from_lists(cls, levels: Mapping[int, Sequence[WeightItem]]) -> "LevelState":

@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mrcode import (CodeLengthProfile, InvalidAssignmentError, LevelState,
                     WeightItem, WeightList, assignment_from_lengths,
@@ -78,8 +78,6 @@ def test_weight_list_validation():
     rejects("weight 0 out of range [1, 2^63-1]", lambda: WeightList.from_values([0, 1]))
     rejects(f"weight {2**63} out of range [1, 2^63-1]",
             lambda: WeightList.from_values([1, 2**63]))
-    rejects("weight nan out of range [1, 2^63-1]",
-            lambda: WeightList((WeightItem(5, 0), WeightItem(float("nan"), 1))))
     rejects("duplicate weight index 0",
             lambda: WeightList((WeightItem(1, 0), WeightItem(1, 0))))
     rejects("weight indices must cover 0..n-1 exactly once",
@@ -115,7 +113,53 @@ def test_weight_list_rejects_non_integers():
             WeightList.from_values([1, bad])
     with pytest.raises(TypeError, match=r"^weight 2\.5 is not an integer$"):
         WeightList.from_values(iter([1, 2.5, "x"]))
+    with pytest.raises(TypeError, match=r"^weight nan is not an integer$"):
+        WeightList((WeightItem(5, 0), WeightItem(float("nan"), 1)))
     assert WeightList.from_values([True, 2, IntLike(5)]).values() == [1, 2, 5]
+    # the items constructor applies the same rule to each index
+    for bad in (0.0, "0", 1.5):
+        with pytest.raises(TypeError, match=f"^weight index {re.escape(repr(bad))} "
+                                            "is not an integer$"):
+            WeightList((WeightItem(1, bad),))
+    with pytest.raises(TypeError, match=r"^weight 1\.5 is not an integer$"):
+        LevelState({0: (WeightItem(1.5, 0),)})
+
+
+_MIXED_VALUES = st.one_of(
+    st.integers(min_value=1, max_value=9), st.just(MAX_WEIGHT),
+    st.sampled_from([0, 2**63, 1.5, 2.0, float("nan"), Decimal("2.5"), Decimal(3),
+                     Fraction(5, 2), Fraction(4, 1), "4", True, False]),
+    st.integers(min_value=0, max_value=9).map(IntLike))
+
+
+@given(st.lists(_MIXED_VALUES, max_size=8), st.booleans(), st.booleans())
+@example([1.5], False, False)
+@example([float("nan")], False, False)
+@example([True, 2], False, True)
+@example([0, 1.5], False, False)
+def test_both_constructors_apply_one_rule(values, presort, sorted_flag):
+    # from_values and the items constructor accept the same lists and
+    # build the same list of ints from them, or reject them with the same
+    # error, the first fault in input order
+    if presort:  # sorted_flag lists that can pass
+        values.sort(key=lambda v: v.v if isinstance(v, IntLike) else
+                    0 if isinstance(v, str) else v)
+
+    def build(make):
+        try:
+            return make(), None
+        except (TypeError, ValueError) as e:
+            return None, e
+
+    w, err = build(lambda: WeightList.from_values(values, sorted_flag))
+    items = tuple(WeightItem(v, i) for i, v in enumerate(values))
+    ref, ref_err = build(lambda: WeightList(items, sorted_flag))
+    assert (type(err), str(err)) == (type(ref_err), str(ref_err))
+    if w is not None:
+        assert w == ref and hash(w) == hash(ref) and repr(w) == repr(ref)
+        for got in (w, ref):
+            assert all(type(v) is int for v in got.values())
+            assert all(type(v) is int and type(i) is int for v, i in got.items)
 
 
 def test_weight_list_positional_flag():
