@@ -4,6 +4,12 @@ Codewords of equal length are consecutive integers ordered by symbol index;
 bits are emitted most-significant-bit first and packed into bytes with the
 final partial byte zero-padded.
 
+A `CanonicalTable` holds what Moffat and Turpin's canonical decoder needs,
+per codeword length: the first code, the count, and the symbols in rank
+(index) order.  It stores no per-symbol codeword: the codeword of a symbol
+is its length's first code plus its rank among the symbols of that
+length, and is derived only where it is sent.
+
 Neither direction runs a Python loop turn per bit.  Each makes one pass
 per message and holds the message's bits as one '0'/'1' string, one
 character per payload bit.  `encode` formats the codeword string of each
@@ -20,8 +26,10 @@ The container format is:
 
 from __future__ import annotations
 
+import operator
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -45,48 +53,69 @@ class DecodeError(ValueError):
 
 @dataclass(frozen=True)
 class CanonicalTable:
-    """Canonical code table: per-symbol (length, codeword value)."""
+    """Canonical code table, kept per codeword length.
+
+    ``lengths`` gives each symbol's codeword length.  The three per-length
+    tuples are indexed by length, 0 to `max_length`: ``first_codes`` holds
+    the first (smallest) codeword of each length, ``counts`` the number of
+    codewords, and ``symbols_by_rank`` the symbols of that length in index
+    order; unused lengths hold 0, 0 and ().  The codeword of a symbol is
+    its length's first code plus its rank in ``symbols_by_rank``.  `codes`
+    derives all of them; `encode` and `decode` never read it.
+    """
 
     lengths: tuple[int, ...]
-    codes: tuple[int, ...]
-    first_codes: tuple[int, ...]          # indexed by length, 0 where unused
-    counts: tuple[int, ...]               # codewords per length
-    symbols_by_rank: tuple[tuple[int, ...], ...]  # per length, symbol order
+    first_codes: tuple[int, ...]
+    counts: tuple[int, ...]
+    symbols_by_rank: tuple[tuple[int, ...], ...]
 
     @property
     def max_length(self) -> int:
         return len(self.counts) - 1
 
+    @property
+    def codes(self) -> tuple[int, ...]:
+        """Per-symbol codeword values, made by one pass over
+        ``symbols_by_rank`` on every read."""
+        codes = [0] * len(self.lengths)
+        for syms, code in zip(self.symbols_by_rank, self.first_codes):
+            for sym in syms:
+                codes[sym] = code
+                code += 1
+        return tuple(codes)
+
     def codeword_bits(self, symbol: int) -> str:
-        return format(self.codes[symbol], f"0{self.lengths[symbol]}b")
+        """The codeword of `symbol`, in 0..n-1, as a '0'/'1' string: its
+        rank among the symbols of its length, found by bisection, plus the
+        length's first code."""
+        l = self.lengths[symbol]
+        code = self.first_codes[l] + bisect_left(self.symbols_by_rank[l], symbol)
+        return bin(code | 1 << l)[3:]  # code + 2^l in binary, less "0b1"
 
 
 def canonical_codes(lengths: CodeLengthProfile) -> CanonicalTable:
     """Assign canonical codewords to a length profile.
 
+    One pass over the lengths groups the symbols by length, in index order.
     Symbols in (length, index) order get consecutive integer codes; the
     first code of each length is (first + count of the previous length)
-    shifted left once.  Requires a Kraft sum of at most 1.
+    shifted left once, and the counts and the Kraft test read only the k
+    group sizes.  Requires a Kraft sum of at most 1.
     """
     ls = lengths.lengths
     top = max(ls)
     by_rank: list[list[int]] = [[] for _ in range(top + 1)]
     for sym, l in enumerate(ls):
         by_rank[l].append(sym)
-    counts = [len(b) for b in by_rank]
+    counts = tuple(map(len, by_rank))
     if sum(c << (top - l) for l, c in enumerate(counts)) > 1 << top:
         raise ValueError("lengths oversubscribe the code space (Kraft sum > 1)")
     first = [0] * (top + 1)
-    codes = [0] * len(ls)
     code = 0
     for l in range(1, top + 1):
         first[l] = code
-        for sym in by_rank[l]:
-            codes[sym] = code
-            code += 1
-        code <<= 1
-    return CanonicalTable(tuple(ls), tuple(codes), tuple(first),
-                          tuple(counts), tuple(tuple(b) for b in by_rank))
+        code = (code + counts[l]) << 1
+    return CanonicalTable(tuple(ls), tuple(first), counts, tuple(map(tuple, by_rank)))
 
 
 def encode(symbols: Iterable[int], table: CanonicalTable) -> tuple[bytes, int]:
@@ -95,33 +124,45 @@ def encode(symbols: Iterable[int], table: CanonicalTable) -> tuple[bytes, int]:
     One pass over the message: the codeword string of each distinct symbol
     is formatted once, the strings of all the symbols are joined into one
     '0'/'1' string, and one ``int(..., 2).to_bytes`` packs it.  A symbol
-    thus costs a list lookup inside ``str.join``, not a Python loop turn.
-    List indexing, like the table's tuples, rejects a symbol that is not an
-    integer.  A bad symbol raises what the first bad one in input order
-    raises.
+    thus costs a lookup inside ``str.join``, not a Python loop turn.
+    Codewords are derived only for the d distinct symbols of the message.
+    When d * bit_length(n) < n, each one bisects its length's
+    ``symbols_by_rank`` for its rank, and the strings go in a dict.
+    Otherwise one pass over ``symbols_by_rank``, counting codewords up, is
+    cheaper, and the strings go in a list of n.  Both lookups, like the
+    table's tuples, reject a symbol that is not an integer.  A bad symbol
+    raises what the first bad one in input order raises.
     """
-    codes, lengths = table.codes, table.lengths
+    lengths = table.lengths
     n = len(lengths)
     if type(symbols) is not list:
         symbols = list(symbols)  # read twice below; a list message is not copied
     if not symbols:
         return b"", 0
-    words: list[str | None] = [None] * n
     try:
         distinct = set(symbols)
         if min(distinct) >= 0 and max(distinct) < n:
-            for sym in distinct:
-                # codeword_bits, inlined: code + 2^length in binary, less "0b1"
-                words[sym] = bin(codes[sym] | 1 << lengths[sym])[3:]
-            bits = "".join(map(words.__getitem__, symbols))
+            if len(distinct) * n.bit_length() < n:
+                words = dict(zip(distinct, map(table.codeword_bits, distinct)))
+                # operator.index refuses 1.0, which the dict would take as 1
+                bits = "".join(map(words.__getitem__, map(operator.index, symbols)))
+            else:
+                word_list: list[str | None] = [None] * n
+                for l, (syms, code) in enumerate(zip(table.symbols_by_rank, table.first_codes)):
+                    code |= 1 << l  # code + 2^length in binary, less "0b1", is the codeword
+                    for sym in syms:
+                        if sym in distinct:
+                            word_list[sym] = bin(code)[3:]
+                        code += 1
+                bits = "".join(map(word_list.__getitem__, symbols))
             pad = -len(bits) % 8
             return (int(bits, 2) << pad).to_bytes((len(bits) + pad) // 8, "big"), len(bits)
-    except TypeError:
+    except (TypeError, KeyError):
         pass
     for sym in symbols:
         if not 0 <= sym < n:
             raise ValueError(f"symbol {sym} outside the table")
-        codes[sym]  # a symbol that is not an integer raises TypeError here
+        lengths[sym]  # a symbol that is not an integer raises TypeError here
     # reached only by symbols whose comparisons or hashes disagree with each other
     raise TypeError("symbols must be integers that index the table")
 
@@ -138,7 +179,8 @@ def decode(payload: bytes, bit_count: int, table: CanonicalTable) -> list[int]:
     max_length bits and bisects the left-justified limits of the lengths
     above W: at most k of them, k being the number of distinct codeword
     lengths.  W (see `_window_bits`) grows with the stream, so a short
-    message builds a small window table.
+    message builds a small window table, and none when every codeword is
+    longer than W.  Only the per-length fields of the table are read.
     """
     if bit_count > len(payload) * 8:
         raise DecodeError("bit count exceeds the payload")
@@ -175,10 +217,10 @@ def decode(payload: bytes, bit_count: int, table: CanonicalTable) -> list[int]:
 
 
 def _window_bits(max_length: int, bit_count: int) -> int:
-    """W: about one window table entry per 64 stream bits, within
+    """W: about one window table entry per 16 stream bits, within
     WINDOW_MIN_BITS..WINDOW_MAX_BITS and no wider than the longest codeword."""
     return min(max_length, max(WINDOW_MIN_BITS,
-                               min(WINDOW_MAX_BITS, bit_count.bit_length() - 6)))
+                               min(WINDOW_MAX_BITS, bit_count.bit_length() - 4)))
 
 
 def _window_table(table: CanonicalTable, width: int) -> dict[str, tuple[int, int]]:
@@ -187,12 +229,15 @@ def _window_table(table: CanonicalTable, width: int) -> dict[str, tuple[int, int
 
     Canonical codewords in (length, symbol) order fill the windows from
     all zeros upward with no gap, so entry j is the window of value j.
+    Empty when no codeword fits in `width` bits.
     """
     entries: list[tuple[int, int]] = []
     for l in range(1, width + 1):
         span = 1 << (width - l)
         for entry in zip(table.symbols_by_rank[l], repeat(l)):
             entries += [entry] * span
+    if not entries:
+        return {}
     half = width // 2
     tails = _bit_strings(half)
     return dict(zip([head + tail for head in _bit_strings(width - half) for tail in tails],
@@ -220,7 +265,9 @@ def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
 
     Accepts only what `pack_container` writes for a complete code: lengths
     in 1..max(1, n-1) with Kraft sum 1 (for n >= 2), and a payload of
-    exactly ceil(bits/8) bytes whose pad bits are zero.
+    exactly ceil(bits/8) bytes whose pad bits are zero.  One `Counter` of
+    the lengths serves both length checks, which read only its k keys; a
+    range fault is reported before a Kraft fault.
     """
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise ContainerFormatError("bad magic")
@@ -231,11 +278,12 @@ def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
     if n == 0:
         raise ContainerFormatError("no codeword lengths")
     lengths = list(struct.unpack_from(f"<{n}H", blob, off))
+    counts = Counter(lengths)
     try:
-        check_length_range(lengths, n)
+        check_length_range(counts, n)
     except ValueError as exc:
         raise ContainerFormatError(f"codeword {exc}") from None
-    num, top = _kraft_scaled(lengths)
+    num, top = _kraft_scaled(counts)
     if n >= 2 and num != 1 << top:
         raise ContainerFormatError("codeword lengths do not have Kraft sum 1")
     off += 2 * n

@@ -182,14 +182,31 @@ class WeightList:
 
 @dataclass(frozen=True)
 class CodeLengthProfile:
-    """Per-input-index codeword lengths with exact Kraft accounting."""
+    """Per-input-index codeword lengths with exact Kraft accounting.
+
+    Every length must be an integer of at least 1.  A float, str,
+    `Decimal`, `Fraction` or NaN raises `TypeError` naming the first such
+    length, before the range is checked; a ``bool`` is stored as an
+    ``int``.
+    """
 
     lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.lengths:
+        ls = self.lengths
+        if not ls:
             raise ValueError("empty length profile")
-        if min(self.lengths) < 1:
+        try:
+            # one C-level pass: any length that is not an int makes the sum
+            # something else, except a bool, of which only True is >= 1
+            exact = type(sum(ls)) is int
+        except TypeError:
+            exact = False
+        if not exact or (lo := min(ls)) == 1 and bool in set(map(type, ls)):
+            ls = tuple(_as_int(l, "codeword length") for l in ls)
+            object.__setattr__(self, "lengths", ls)
+            lo = min(ls)
+        if lo < 1:
             raise ValueError("codeword lengths must be >= 1")
 
     @classmethod
@@ -276,9 +293,10 @@ def kraft_sum(lengths: Sequence[int] | CodeLengthProfile) -> Fraction:
     return Fraction(num, 1 << top)
 
 
-def _kraft_scaled(lengths: Iterable[int]) -> tuple[int, int]:
+def _kraft_scaled(lengths: Iterable[int] | Counter[int]) -> tuple[int, int]:
     """(num, top) with sum(2^-l) == num / 2^top, top the longest length
-    (0 for no lengths), in integers only."""
+    (0 for no lengths), in integers only.  Takes the lengths or a
+    `Counter` of them, which costs O(k) for k distinct lengths."""
     counts = Counter(lengths)
     if not counts:
         return 0, 0
@@ -288,10 +306,11 @@ def _kraft_scaled(lengths: Iterable[int]) -> tuple[int, int]:
     return sum(c << (top - l) for l, c in counts.items()), top
 
 
-def check_length_range(lengths: Sequence[int], n: int) -> None:
+def check_length_range(lengths: Iterable[int], n: int) -> None:
     """Raises `ValueError` unless every length lies in 1..max(1, n - 1),
     the range of an optimal code for n weights: a complete code on n >= 2
-    symbols has no codeword longer than n - 1."""
+    symbols has no codeword longer than n - 1.  Takes the lengths or a
+    `Counter` of them, whose keys are the distinct lengths."""
     bound = max(1, n - 1)
     if min(lengths) < 1 or max(lengths) > bound:
         raise ValueError(f"lengths must lie in 1..{bound}")

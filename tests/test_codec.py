@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from mrcode import (CodeLengthProfile, ContainerFormatError, DecodeError,
                     WeightList, canonical_codes, construct_lengths,
-                    decode, encode, huffman_lengths, pack_container,
-                    unpack_container)
+                    decode, encode, generators, huffman_lengths,
+                    pack_container, unpack_container)
+from mrcode.codec import CanonicalTable
 from oracles import (WORKED_COST, WORKED_VALUES, reference_decode,
                      reference_encode)
 
@@ -161,6 +163,15 @@ def test_container_rejects_length_out_of_range():
         unpack_container(pack_container([1, 3, 2], b"", 0))
     with pytest.raises(ContainerFormatError):
         unpack_container(pack_container([], b"", 0))
+
+
+def test_container_reports_the_range_fault_before_the_kraft_fault():
+    # each profile is out of range and has a Kraft sum other than 1
+    for lengths in ([0, 1], [1, 1, 5, 5], [1, 3, 2], [3, 3], [4, 1, 2, 0]):
+        bound = max(1, len(lengths) - 1)
+        with pytest.raises(ContainerFormatError,
+                           match=rf"^codeword lengths must lie in 1\.\.{bound}$"):
+            unpack_container(pack_container(lengths, b"", 0))
 
 
 def test_container_rejects_kraft_sum_not_one():
@@ -322,19 +333,100 @@ def test_decode_long_streams():
                 _outcome(reference_decode, payload, bits - cut, table)
 
 
-@given(_tables(), st.data(), st.booleans())
+@st.composite
+def _encode_cases(draw):
+    """(table, symbols, as_generator): messages of in-range symbols, bools
+    among them, with up to two out-of-range ones inserted."""
+    table = draw(_tables())
+    n = len(table.lengths)
+    symbols = draw(st.lists(st.integers(0, n - 1) | st.booleans(), max_size=200))
+    for _ in range(draw(st.integers(0, 2))):
+        symbols.insert(draw(st.integers(0, len(symbols))),
+                       draw(st.sampled_from([-2, -1, n, n + 1])))
+    return table, symbols, draw(st.booleans())
+
+
+@given(_encode_cases())
 @settings(max_examples=400, deadline=None)
-def test_encode_matches_reference(table, data, as_generator):
+def test_encode_matches_reference(case):
     """Same payload and bit count, or the same error for the first bad
     symbol in input order: negative, = n or past it, from a generator or
-    a list, bools included."""
-    n = len(table.lengths)
-    symbols = data.draw(st.lists(st.integers(0, n - 1) | st.booleans(), max_size=200))
-    for _ in range(data.draw(st.integers(0, 2))):
-        symbols.insert(data.draw(st.integers(0, len(symbols))),
-                       data.draw(st.sampled_from([-2, -1, n, n + 1])))
+    a list, bools included.  Short messages over large tables take the
+    few-distinct path of `encode`, the rest the many-distinct one."""
+    table, symbols, as_generator = case
     got = _outcome(encode, (s for s in symbols) if as_generator else symbols, table)
     assert got == _outcome(reference_encode, symbols, table)
+
+
+def _example41_presorted_table(n):
+    values = sorted(generators.generate("example41", n))
+    profile, _ = construct_lengths(WeightList.from_values(values, sorted_flag=True))
+    return canonical_codes(profile)
+
+
+def test_read_path_builds_no_per_symbol_codewords():
+    # a 256-symbol message over the 98 306 symbols of presorted
+    # example41-65536: neither side may derive the whole codeword table,
+    # and the read side derives no codeword at all
+    table = _example41_presorted_table(65536)
+    rng = random.Random(41)
+    message = [rng.randrange(len(table.lengths)) for _ in range(256)]
+
+    def refuse(*args):
+        raise AssertionError("per-symbol codewords built")
+
+    with mock.patch.object(CanonicalTable, "codes", property(refuse)):
+        payload, bits = encode(message, table)
+        blob = pack_container(table.lengths, payload, bits)
+        with mock.patch.object(CanonicalTable, "codeword_bits", refuse):
+            lengths, payload_in, bits_in = unpack_container(blob)
+            table_in = canonical_codes(CodeLengthProfile(tuple(lengths)))
+            assert table_in == table
+            assert decode(payload_in, bits_in, table_in) == message
+    assert (payload, bits) == reference_encode(message, table)
+
+
+def _encode_path(symbols, table):
+    """Which path `encode` takes on a valid message: "few" when it derives
+    each distinct symbol's codeword on its own, "many" when it makes one
+    pass over the table.  Its output must match the reference's."""
+    seen = []
+    codeword_bits = CanonicalTable.codeword_bits
+
+    def few(t, sym):
+        seen.append(sym)
+        return codeword_bits(t, sym)
+
+    with mock.patch.object(CanonicalTable, "codeword_bits", few):
+        got = encode(symbols, table)
+    assert got == reference_encode(symbols, table)
+    assert sorted(seen) in ([], sorted(set(symbols)))
+    return "few" if seen else "many"
+
+
+def test_encode_paths_match_reference():
+    # the same table through both paths: a few distinct symbols, then many
+    table = _example41_presorted_table(1024)
+    n = len(table.lengths)
+    rng = random.Random(7)
+    for d in (1, 2, 5, 50, n // 2, n):
+        message = [rng.choice(range(d)) for _ in range(300)] + list(range(d))
+        rng.shuffle(message)
+        path = _encode_path(message, table)
+        assert path == ("few" if d * n.bit_length() < n else "many")
+
+
+def test_encode_strategy_reaches_both_paths():
+    # test_encode_matches_reference draws from _encode_cases; each path is
+    # found among its valid messages
+    def valid(case):
+        table, symbols, _ = case
+        return symbols and all(type(s) is int and 0 <= s < len(table.lengths)
+                               for s in symbols)
+
+    for path in ("few", "many"):
+        find(_encode_cases(), lambda case: valid(case) and _encode_path(case[1], case[0]) == path,
+             settings=settings(max_examples=2000, database=None))
 
 
 def test_encode_names_the_first_bad_symbol():

@@ -69,6 +69,32 @@ def test_distinct_length_count():
     assert distinct_length_count(profile(4, 4, 3, 2, 1)) == 4
 
 
+def test_length_profile_rejects_non_integers():
+    # a length that is not an integer raises TypeError naming the first
+    # such length, before the range is checked; NaN no longer slips past
+    # the range check to fail inside kraft_sum or canonical_codes
+    nan = float("nan")
+    for lengths, bad in (((1.5, 2, 2), "1.5"), ((1.0, 2.0, 2.0), "1.0"),
+                         ((1, nan), "nan"), ((nan, 1), "nan"),
+                         ((1, Decimal(1)), "Decimal('1')"),
+                         ((1, Fraction(1)), "Fraction(1, 1)"), ((1, "2"), "'2'"),
+                         ((1, 1.0), "1.0"), ((0, 1.5, "x"), "1.5"), ((2, 2, 2.5, 2), "2.5")):
+        with pytest.raises(TypeError, match=f"^codeword length {re.escape(bad)} is not an integer$"):
+            CodeLengthProfile(lengths)
+    # True is stored as an int, like any other __index__ length
+    for lengths in ((True, 1), (1, True), (True, True), (IntLike(1), 1)):
+        p = CodeLengthProfile(lengths)
+        assert p.lengths == (1, 1) and all(type(l) is int for l in p.lengths)
+        assert repr(p) == repr(profile(1, 1)) and p == profile(1, 1)
+    assert CodeLengthProfile((2, IntLike(2), 1)).lengths == (2, 2, 1)
+    with pytest.raises(ValueError, match=r"^codeword lengths must be >= 1$"):
+        CodeLengthProfile((False, 1))
+    with pytest.raises(ValueError, match=r"^codeword lengths must be >= 1$"):
+        CodeLengthProfile((1, 0, 2))
+    with pytest.raises(ValueError, match=r"^empty length profile$"):
+        CodeLengthProfile(())
+
+
 def test_weight_list_validation():
     def rejects(message, make):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
@@ -132,18 +158,28 @@ _MIXED_VALUES = st.one_of(
     st.integers(min_value=0, max_value=9).map(IntLike))
 
 
+def _mixed_sort_key(v):
+    """A total order on _MIXED_VALUES: NaN, which compares false with every
+    number and makes Decimal's comparisons raise, sorts after the rest."""
+    if isinstance(v, IntLike):
+        return 0, v.v
+    if isinstance(v, str):
+        return 0, 0
+    return (1, 0) if v != v else (0, v)
+
+
 @given(st.lists(_MIXED_VALUES, max_size=8), st.booleans(), st.booleans())
 @example([1.5], False, False)
 @example([float("nan")], False, False)
 @example([True, 2], False, True)
 @example([0, 1.5], False, False)
+@example([float("nan"), Decimal("2.5")], True, False)
 def test_both_constructors_apply_one_rule(values, presort, sorted_flag):
     # from_values and the items constructor accept the same lists and
     # build the same list of ints from them, or reject them with the same
     # error, the first fault in input order
     if presort:  # sorted_flag lists that can pass
-        values.sort(key=lambda v: v.v if isinstance(v, IntLike) else
-                    0 if isinstance(v, str) else v)
+        values.sort(key=_mixed_sort_key)
 
     def build(make):
         try:
