@@ -10,6 +10,15 @@ per codeword length: the first code, the count, and the symbols in rank
 is its length's first code plus its rank among the symbols of that
 length, and is derived only where it is sent.
 
+A profile whose lengths never increase, as a presorted construction
+returns, is k runs of equal lengths, k being the number of distinct
+lengths.  `core._length_runs` finds them in O(k log n) steps, and on such
+a profile `canonical_codes`, `pack_container` and `unpack_container` work
+from the runs: each length's symbols are one ``range``, and a symbol's
+rank is its offset from the range's start.  `encode` and `decode` then
+work in proportion to the message.  Every other profile takes the same
+steps symbol by symbol, with the same results and errors.
+
 Neither direction runs a Python loop turn per bit.  Each makes one pass
 per message and holds the message's bits as one '0'/'1' string, one
 character per payload bit.  `encode` formats the codeword string of each
@@ -29,12 +38,12 @@ from __future__ import annotations
 import operator
 import struct
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .core import CodeLengthProfile, _kraft_scaled, check_length_range
+from .core import (CodeLengthProfile, _kraft_scaled, _length_counts, _length_runs,
+                   check_length_range)
 
 MAGIC = b"PFX1"
 
@@ -58,27 +67,38 @@ class CanonicalTable:
     ``lengths`` gives each symbol's codeword length.  The three per-length
     tuples are indexed by length, 0 to `max_length`: ``first_codes`` holds
     the first (smallest) codeword of each length, ``counts`` the number of
-    codewords, and ``symbols_by_rank`` the symbols of that length in index
-    order; unused lengths hold 0, 0 and ().  The codeword of a symbol is
-    its length's first code plus its rank in ``symbols_by_rank``.  `codes`
-    derives all of them; `encode` and `decode` never read it.
+    codewords, and ``groups`` the symbols of that length in index order:
+    every group a ``range`` of consecutive indices in the table of a
+    profile whose lengths never increase, and a tuple in any other table;
+    unused lengths hold 0, 0 and an empty group.  The codeword of a symbol
+    is its length's first code plus its rank in its group.  ``groups`` is
+    what `encode` and `decode` read.  It follows from ``lengths`` and takes
+    no part in equality, so a table compares by its lengths and per-length
+    codes.
+    `symbols_by_rank` gives the groups as tuples and `codes` derives every
+    codeword; both are made on each read.
     """
 
     lengths: tuple[int, ...]
     first_codes: tuple[int, ...]
     counts: tuple[int, ...]
-    symbols_by_rank: tuple[tuple[int, ...], ...]
+    groups: tuple[Sequence[int], ...] = field(compare=False)
 
     @property
     def max_length(self) -> int:
         return len(self.counts) - 1
 
     @property
+    def symbols_by_rank(self) -> tuple[tuple[int, ...], ...]:
+        """Per length, the symbols of that length in index order, as tuples."""
+        return tuple(map(tuple, self.groups))
+
+    @property
     def codes(self) -> tuple[int, ...]:
-        """Per-symbol codeword values, made by one pass over
-        ``symbols_by_rank`` on every read."""
+        """Per-symbol codeword values, made by one pass over the groups on
+        every read."""
         codes = [0] * len(self.lengths)
-        for syms, code in zip(self.symbols_by_rank, self.first_codes):
+        for syms, code in zip(self.groups, self.first_codes):
             for sym in syms:
                 codes[sym] = code
                 code += 1
@@ -86,28 +106,37 @@ class CanonicalTable:
 
     def codeword_bits(self, symbol: int) -> str:
         """The codeword of `symbol`, in 0..n-1, as a '0'/'1' string: its
-        rank among the symbols of its length, found by bisection, plus the
-        length's first code."""
+        rank among the symbols of its length, its offset in a range group or
+        found by bisection in a tuple one, plus the length's first code."""
         l = self.lengths[symbol]
-        code = self.first_codes[l] + bisect_left(self.symbols_by_rank[l], symbol)
-        return bin(code | 1 << l)[3:]  # code + 2^l in binary, less "0b1"
+        group = self.groups[l]
+        rank = symbol - group.start if type(group) is range else bisect_left(group, symbol)
+        return bin((self.first_codes[l] + rank) | 1 << l)[3:]  # code + 2^l in binary, less "0b1"
 
 
 def canonical_codes(lengths: CodeLengthProfile) -> CanonicalTable:
     """Assign canonical codewords to a length profile.
 
-    One pass over the lengths groups the symbols by length, in index order.
-    Symbols in (length, index) order get consecutive integer codes; the
-    first code of each length is (first + count of the previous length)
-    shifted left once, and the counts and the Kraft test read only the k
-    group sizes.  Requires a Kraft sum of at most 1.
+    On a profile whose lengths never increase, each length's symbols are
+    the ``range`` of its run (`core._length_runs`), in O(k log n) steps
+    for k distinct lengths.  Any other profile is grouped by one loop turn
+    per symbol (`_group_symbols`).  Symbols in (length, index) order get
+    consecutive integer codes; the first code of each length is (first +
+    count of the previous length) shifted left once, and the counts and
+    the Kraft test read only the k group sizes.  Requires a Kraft sum of
+    at most 1.
     """
     ls = lengths.lengths
-    top = max(ls)
-    by_rank: list[list[int]] = [[] for _ in range(top + 1)]
-    for sym, l in enumerate(ls):
-        by_rank[l].append(sym)
-    counts = tuple(map(len, by_rank))
+    runs = _length_runs(ls)
+    if runs is None:
+        groups = _group_symbols(ls)
+    else:
+        by_length = [range(0)] * (runs[0][0] + 1)  # the first run holds the longest length
+        for l, lo, hi in runs:
+            by_length[l] = range(lo, hi)
+        groups = tuple(by_length)
+    counts = tuple(map(len, groups))
+    top = len(counts) - 1
     if sum(c << (top - l) for l, c in enumerate(counts)) > 1 << top:
         raise ValueError("lengths oversubscribe the code space (Kraft sum > 1)")
     first = [0] * (top + 1)
@@ -115,7 +144,16 @@ def canonical_codes(lengths: CodeLengthProfile) -> CanonicalTable:
     for l in range(1, top + 1):
         first[l] = code
         code = (code + counts[l]) << 1
-    return CanonicalTable(tuple(ls), tuple(first), counts, tuple(map(tuple, by_rank)))
+    return CanonicalTable(ls, tuple(first), counts, groups)
+
+
+def _group_symbols(ls: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per length 0..max(ls), the symbols of that length in index order,
+    by one loop turn per symbol."""
+    by_rank: list[list[int]] = [[] for _ in range(max(ls) + 1)]
+    for sym, l in enumerate(ls):
+        by_rank[l].append(sym)
+    return tuple(map(tuple, by_rank))
 
 
 def encode(symbols: Iterable[int], table: CanonicalTable) -> tuple[bytes, int]:
@@ -126,12 +164,12 @@ def encode(symbols: Iterable[int], table: CanonicalTable) -> tuple[bytes, int]:
     '0'/'1' string, and one ``int(..., 2).to_bytes`` packs it.  A symbol
     thus costs a lookup inside ``str.join``, not a Python loop turn.
     Codewords are derived only for the d distinct symbols of the message.
-    When d * bit_length(n) < n, each one bisects its length's
-    ``symbols_by_rank`` for its rank, and the strings go in a dict.
-    Otherwise one pass over ``symbols_by_rank``, counting codewords up, is
-    cheaper, and the strings go in a list of n.  Both lookups, like the
-    table's tuples, reject a symbol that is not an integer.  A bad symbol
-    raises what the first bad one in input order raises.
+    When d * bit_length(n) < n, each one comes from `codeword_bits`, and
+    the strings go in a dict.  Otherwise one pass over the groups, counting
+    codewords up, is cheaper: it costs O(n) = O(d log n) steps, and the
+    strings go in a list of n.  Both lookups, like the table's tuples,
+    reject a symbol that is not an integer.  A bad symbol raises what the
+    first bad one in input order raises.
     """
     lengths = table.lengths
     n = len(lengths)
@@ -148,7 +186,7 @@ def encode(symbols: Iterable[int], table: CanonicalTable) -> tuple[bytes, int]:
                 bits = "".join(map(words.__getitem__, map(operator.index, symbols)))
             else:
                 word_list: list[str | None] = [None] * n
-                for l, (syms, code) in enumerate(zip(table.symbols_by_rank, table.first_codes)):
+                for l, (syms, code) in enumerate(zip(table.groups, table.first_codes)):
                     code |= 1 << l  # code + 2^length in binary, less "0b1", is the codeword
                     for sym in syms:
                         if sym in distinct:
@@ -180,14 +218,15 @@ def decode(payload: bytes, bit_count: int, table: CanonicalTable) -> list[int]:
     above W: at most k of them, k being the number of distinct codeword
     lengths.  W (see `_window_bits`) grows with the stream, so a short
     message builds a small window table, and none when every codeword is
-    longer than W.  Only the per-length fields of the table are read.
+    longer than W.  Only the per-length fields of the table are read, so
+    a table of range groups costs nothing per symbol of the alphabet.
     """
     if bit_count > len(payload) * 8:
         raise DecodeError("bit count exceeds the payload")
     top = table.max_length
     width = _window_bits(top, bit_count)
     windows = _window_table(table, width)
-    first, counts, by_rank = table.first_codes, table.counts, table.symbols_by_rank
+    first, counts, by_rank = table.first_codes, table.counts, table.groups
     long_lengths = [l for l in range(width + 1, top + 1) if counts[l]]
     limits = [(first[l] + counts[l]) << (top - l) for l in long_lengths]
     nbytes = (bit_count + 7) // 8
@@ -234,7 +273,7 @@ def _window_table(table: CanonicalTable, width: int) -> dict[str, tuple[int, int
     entries: list[tuple[int, int]] = []
     for l in range(1, width + 1):
         span = 1 << (width - l)
-        for entry in zip(table.symbols_by_rank[l], repeat(l)):
+        for entry in zip(table.groups[l], repeat(l)):
             entries += [entry] * span
     if not entries:
         return {}
@@ -250,14 +289,30 @@ def _bit_strings(k: int) -> list[str]:
 
 
 def pack_container(lengths: Sequence[int], payload: bytes, bit_count: int) -> bytes:
-    out = bytearray(MAGIC)
+    """The container of `lengths`, `payload` and its exact `bit_count`.
+
+    Integer lengths that never increase are written run by run, as one
+    2-byte string repeated per run (`core._length_runs`); any other lengths
+    one by one.  Both give the same bytes, and a length or bit count that
+    does not fit raises the same `ContainerFormatError`.
+    """
+    runs = _length_runs(lengths)
     try:
-        out += struct.pack(f"<Q{len(lengths)}H", len(lengths), *lengths)
-        out += struct.pack("<Q", bit_count)
+        # a float equal to an int passes the runs' count, not struct.pack
+        exact = runs is not None and type(sum(lengths)) is int
+    except TypeError:
+        exact = False
+    n = len(lengths)
+    try:
+        if exact:
+            head = struct.pack("<Q", n) + b"".join(struct.pack("<H", l) * (hi - lo)
+                                                   for l, lo, hi in runs)
+        else:
+            head = struct.pack(f"<Q{n}H", n, *lengths)
+        tail = struct.pack("<Q", bit_count)
     except struct.error as exc:
         raise ContainerFormatError(f"cannot pack the container: {exc}") from None
-    out += payload
-    return bytes(out)
+    return b"".join((MAGIC, head, tail, payload))
 
 
 def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
@@ -265,9 +320,11 @@ def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
 
     Accepts only what `pack_container` writes for a complete code: lengths
     in 1..max(1, n-1) with Kraft sum 1 (for n >= 2), and a payload of
-    exactly ceil(bits/8) bytes whose pad bits are zero.  One `Counter` of
-    the lengths serves both length checks, which read only its k keys; a
-    range fault is reported before a Kraft fault.
+    exactly ceil(bits/8) bytes whose pad bits are zero.  One count of
+    each distinct length (`core._length_counts`: from the runs of lengths
+    that never increase, else a `Counter`) serves both length checks,
+    which read only its k keys; a range fault is reported before a Kraft
+    fault.
     """
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise ContainerFormatError("bad magic")
@@ -277,8 +334,8 @@ def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
         raise ContainerFormatError("truncated header")
     if n == 0:
         raise ContainerFormatError("no codeword lengths")
-    lengths = list(struct.unpack_from(f"<{n}H", blob, off))
-    counts = Counter(lengths)
+    lengths = struct.unpack_from(f"<{n}H", blob, off)
+    counts = _length_counts(lengths)
     try:
         check_length_range(counts, n)
     except ValueError as exc:
@@ -296,4 +353,4 @@ def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
         raise ContainerFormatError("bytes past the end of the payload")
     if payload and payload[-1] & (0xFF >> ((bit_count - 1) % 8 + 1)):
         raise ContainerFormatError("non-zero pad bits")
-    return lengths, payload, bit_count
+    return list(lengths), payload, bit_count

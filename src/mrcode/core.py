@@ -8,6 +8,7 @@ codeword length of a weight at level ``eta`` is ``root_level - eta``.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -187,13 +188,17 @@ class CodeLengthProfile:
     Every length must be an integer of at least 1.  A float, str,
     `Decimal`, `Fraction` or NaN raises `TypeError` naming the first such
     length, before the range is checked; a ``bool`` is stored as an
-    ``int``.
+    ``int``.  The lengths are stored as a tuple, whatever sequence they
+    came in, so every profile hashes.
     """
 
     lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
         ls = self.lengths
+        if type(ls) is not tuple:
+            ls = tuple(ls)
+            object.__setattr__(self, "lengths", ls)
         if not ls:
             raise ValueError("empty length profile")
         try:
@@ -289,15 +294,53 @@ def kraft_sum(lengths: Sequence[int] | CodeLengthProfile) -> Fraction:
     """
     if isinstance(lengths, CodeLengthProfile):
         lengths = lengths.lengths
-    num, top = _kraft_scaled(lengths)
+    num, top = _kraft_scaled(_length_counts(lengths))
     return Fraction(num, 1 << top)
 
 
-def _kraft_scaled(lengths: Iterable[int] | Counter[int]) -> tuple[int, int]:
+def _length_runs(ls: Sequence[int]) -> list[tuple[int, int, int]] | None:
+    """The (length, lo, hi) runs of a profile whose lengths never increase:
+    ``ls[lo:hi]`` all equal the length, and the runs cover the profile in
+    order with strictly falling lengths.  None for any other profile, and
+    for lengths that are not a sequence of numbers.
+
+    Nine lengths at eighth steps give up most profiles that are plainly
+    not monotone in O(1).  Each run end is then found by bisection, which
+    leaves a shorter length (or the end) at ``hi``, so the lengths of the
+    runs fall strictly, and each run is checked by one C-level count.  A
+    profile of k distinct lengths costs O(k log n) Python steps.
+    """
+    try:
+        n = len(ls)
+        e = n >> 3
+        if not n or not (ls[0] >= ls[e] >= ls[2 * e] >= ls[3 * e] >= ls[4 * e] >= ls[5 * e]
+                         >= ls[6 * e] >= ls[7 * e] >= ls[-1]):
+            return None
+        runs = []
+        lo = 0
+        while lo < n:
+            l = ls[lo]
+            hi = bisect_right(ls, -l, lo, n, key=operator.neg)  # > lo, as ls[lo] == l
+            if ls[lo:hi].count(l) != hi - lo:
+                return None
+            runs.append((l, lo, hi))
+            lo = hi
+        return runs
+    except (TypeError, ArithmeticError):  # a Decimal NaN refuses to be ordered
+        return None
+
+
+def _length_counts(ls: Sequence[int]) -> Mapping[int, int]:
+    """Each distinct length with its count: taken from the runs of a
+    profile whose lengths never increase, else from one `Counter`."""
+    runs = _length_runs(ls)
+    return Counter(ls) if runs is None else {l: hi - lo for l, lo, hi in runs}
+
+
+def _kraft_scaled(counts: Mapping[int, int]) -> tuple[int, int]:
     """(num, top) with sum(2^-l) == num / 2^top, top the longest length
-    (0 for no lengths), in integers only.  Takes the lengths or a
-    `Counter` of them, which costs O(k) for k distinct lengths."""
-    counts = Counter(lengths)
+    (0 for no lengths), in integers only, from the count of each distinct
+    length (see `_length_counts`): O(k) for k distinct lengths."""
     if not counts:
         return 0, 0
     if min(counts) < 1:
@@ -310,7 +353,7 @@ def check_length_range(lengths: Iterable[int], n: int) -> None:
     """Raises `ValueError` unless every length lies in 1..max(1, n - 1),
     the range of an optimal code for n weights: a complete code on n >= 2
     symbols has no codeword longer than n - 1.  Takes the lengths or a
-    `Counter` of them, whose keys are the distinct lengths."""
+    mapping whose keys are the distinct lengths (see `_length_counts`)."""
     bound = max(1, n - 1)
     if min(lengths) < 1 or max(lengths) > bound:
         raise ValueError(f"lengths must lie in 1..{bound}")

@@ -1,14 +1,17 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
+from itertools import groupby
 from unittest import mock
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from mrcode import (CodeLengthProfile, ContainerFormatError, DecodeError,
                     WeightList, canonical_codes, construct_lengths,
-                    decode, encode, generators, huffman_lengths,
+                    decode, encode, generators, huffman_lengths, kraft_sum,
                     pack_container, unpack_container)
+from mrcode import codec, core
 from mrcode.codec import CanonicalTable
 from oracles import (WORKED_COST, WORKED_VALUES, reference_decode,
                      reference_encode)
@@ -439,3 +442,151 @@ def test_encode_names_the_first_bad_symbol():
     assert _outcome(encode, [1, 1.0], table) == \
         _outcome(reference_encode, [1, 1.0], table)
     assert encode([True, False, 2], table) == reference_encode([1, 0, 2], table)
+
+
+@st.composite
+def _run_profiles(draw):
+    """Length sequences that never increase, and near misses of them: one
+    adjacent swap, a run split by another length, a last length out of
+    order.  Some take 0, 65 536 or -1 at a run's end, or a float, a bool or
+    a `Decimal` in place of a length; these reach only `pack_container`."""
+    lengths = sorted(draw(st.lists(st.integers(1, 16), max_size=48)), reverse=True)
+    kind = draw(st.sampled_from(["runs", "swap", "split", "last", "edge", "type"]))
+    if kind == "swap" and len(set(lengths)) > 1:
+        i = draw(st.sampled_from([i for i in range(len(lengths) - 1)
+                                  if lengths[i] != lengths[i + 1]]))
+        lengths[i], lengths[i + 1] = lengths[i + 1], lengths[i]
+    elif kind == "split" and lengths:
+        i = draw(st.integers(0, len(lengths) - 1))
+        lengths.insert(i, draw(st.integers(1, 16).filter(lambda l: l != lengths[i])))
+    elif kind == "last" and lengths:
+        lengths.append(draw(st.integers(lengths[-1] + 1, 17)))
+    elif kind == "edge":
+        ends = [i for i in range(len(lengths)) if i + 1 == len(lengths)
+                or lengths[i] != lengths[i + 1]]
+        if ends:
+            lengths[draw(st.sampled_from(ends))] = draw(st.sampled_from([0, 65536, -1]))
+        if draw(st.booleans()):
+            lengths.insert(0, 65536)
+        else:
+            lengths.append(draw(st.sampled_from([0, -1])))
+    elif kind == "type" and lengths:
+        i = draw(st.integers(0, len(lengths) - 1))
+        lengths[i] = draw(st.sampled_from([float(lengths[i]), lengths[i] + 0.5,
+                                           lengths[i] == 1, Decimal(lengths[i]),
+                                           Decimal("NaN")]))
+    return draw(st.sampled_from([tuple, list]))(lengths)
+
+
+def _expected_runs(ls):
+    """The (length, lo, hi) runs of lengths that never increase, or None,
+    as for lengths that are not numbers or NaN."""
+    if not ls or not all(type(l) in (int, bool, float, Decimal) and l == l for l in ls) \
+            or not all(a >= b for a, b in zip(ls, ls[1:])):
+        return None
+    runs, lo = [], 0
+    for l, group in groupby(ls):
+        hi = lo + len(list(group))
+        runs.append((l, lo, hi))
+        lo = hi
+    return runs
+
+
+def test_run_check_reads_every_length_of_long_runs():
+    # a length out of order at any position of long runs, deep inside a
+    # run or at its ends, is found
+    base = [9] * 700 + [5] * 1000 + [2] * 300
+    assert core._length_runs(base) == [(9, 0, 700), (5, 700, 1700), (2, 1700, 2000)]
+    for pos in range(len(base)):
+        for delta in (-1, 1):
+            ls = base[:pos] + [base[pos] + delta] + base[pos + 1:]
+            assert core._length_runs(ls) == _expected_runs(ls)
+
+
+def _per_symbol(fn, *args):
+    """`_outcome` of fn(*args) with the run reader refusing every profile,
+    so each one takes the per-symbol path."""
+    with mock.patch.object(core, "_length_runs", lambda ls: None), \
+            mock.patch.object(codec, "_length_runs", lambda ls: None):
+        return _outcome(fn, *args)
+
+
+def _contents(table):
+    if not isinstance(table, CanonicalTable):
+        return table  # the (type, message) of an error
+    return table.lengths, table.codes, table.first_codes, table.counts, table.symbols_by_rank
+
+
+@given(_run_profiles(), st.randoms(use_true_random=False))
+@settings(max_examples=500, deadline=None)
+@example((), random.Random(0))
+@example((1,), random.Random(0))
+@example((1, 2, 2), random.Random(0))          # one adjacent swap
+@example((3, 3, 2, 3, 3, 1), random.Random(0))  # a run split by another length
+@example((2, 1, 2), random.Random(0))          # a last length out of order
+@example((65536, 2, 1), random.Random(0))
+@example((2, 2, 0), random.Random(0))
+@example((2, 1, -1), random.Random(0))
+@example((2, 1.0, 1), random.Random(0))
+@example([2, True, 1], random.Random(0))
+@example((Decimal("NaN"),), random.Random(0))
+@example((Decimal(2), Decimal(2), Decimal(1)), random.Random(0))
+def test_run_path_matches_per_symbol_path(lengths, rng):
+    """On every length sequence, the runs of a profile that never
+    increases and the per-symbol path give the same tables, Kraft sums,
+    containers, decoded symbols and errors."""
+    ls = tuple(lengths)
+    runs = core._length_runs(lengths)
+    assert runs == _expected_runs(ls)
+    blob = _outcome(pack_container, lengths, b"", 0)
+    assert blob == _per_symbol(pack_container, lengths, b"", 0)
+    if isinstance(blob, bytes):
+        assert _outcome(unpack_container, blob) == _per_symbol(unpack_container, blob)
+    if not ls or not all(type(l) is int and 1 <= l <= 64 for l in ls):
+        return
+    profile = CodeLengthProfile(lengths)
+    assert kraft_sum(profile) == _per_symbol(kraft_sum, profile)
+    table = _outcome(canonical_codes, profile)
+    flat = _per_symbol(canonical_codes, profile)
+    assert _contents(table) == _contents(flat)
+    if not isinstance(table, CanonicalTable):
+        return
+    assert all(type(g) is (range if runs else tuple) for g in table.groups)
+    n = len(ls)
+    message = [rng.randrange(n) for _ in range(rng.choice([0, 1, 5, 300]))]
+    payload, bits = encode(message, table)
+    assert (payload, bits) == encode(message, flat) == reference_encode(message, table)
+    blob = _outcome(pack_container, lengths, payload, bits)
+    assert blob == _per_symbol(pack_container, lengths, payload, bits)
+    if isinstance(blob, bytes):
+        assert _outcome(unpack_container, blob) == _per_symbol(unpack_container, blob)
+    cut = rng.randrange(bits + 1)
+    for t in (table, flat):
+        assert _outcome(decode, payload, cut, t) == _outcome(reference_decode, payload, cut, flat)
+    assert decode(payload, bits, table) == message
+
+
+def test_presorted_profile_takes_no_per_symbol_step():
+    # the 98 306 lengths of presorted example41-65536, through every step of
+    # the write and the read side: neither the per-symbol grouping loop nor
+    # a Counter of the lengths is reached
+    values = sorted(generators.generate("example41", 65536))
+    profile, _ = construct_lengths(WeightList.from_values(values, sorted_flag=True))
+    rng = random.Random(15)
+
+    def refuse(*args):
+        raise AssertionError("per-symbol step reached")
+
+    with mock.patch.object(codec, "_group_symbols", refuse), \
+            mock.patch.object(core, "Counter", refuse):
+        assert kraft_sum(profile) == 1
+        table = canonical_codes(profile)
+        assert all(type(g) is range for g in table.groups)
+        for size in (256, 65536):
+            message = [rng.randrange(len(values)) for _ in range(size)]
+            payload, bits = encode(message, table)
+            blob = pack_container(profile.lengths, payload, bits)
+            lengths, payload_in, bits_in = unpack_container(blob)
+            table_in = canonical_codes(CodeLengthProfile(tuple(lengths)))
+            assert decode(payload_in, bits_in, table_in) == message
+    assert (payload, bits) == reference_encode(message, table)

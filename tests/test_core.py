@@ -95,6 +95,16 @@ def test_length_profile_rejects_non_integers():
         CodeLengthProfile(())
 
 
+def test_length_profile_from_a_list_hashes():
+    # the lengths are stored as a tuple whatever sequence they came in
+    for lengths in ([1, 1], [2, 2, 1], range(1, 2), [True, 1]):
+        p = CodeLengthProfile(lengths)
+        assert type(p.lengths) is tuple and p == profile(*lengths)
+        assert hash(p) == hash(profile(*lengths))
+    with pytest.raises(ValueError, match=r"^empty length profile$"):
+        CodeLengthProfile([])
+
+
 def test_weight_list_validation():
     def rejects(message, make):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
