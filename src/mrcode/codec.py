@@ -12,12 +12,15 @@ length, and is derived only where it is sent.
 
 A profile whose lengths never increase, as a presorted construction
 returns, is k runs of equal lengths, k being the number of distinct
-lengths.  `core._length_runs` finds them in O(k log n) steps, and on such
-a profile `canonical_codes`, `pack_container` and `unpack_container` work
-from the runs: each length's symbols are one ``range``, and a symbol's
-rank is its offset from the range's start.  `encode` and `decode` then
-work in proportion to the message.  Every other profile takes the same
-steps symbol by symbol, with the same results and errors.
+lengths.  A `CodeLengthProfile` holds its runs: a presorted construction
+hands them over, and `core._length_runs` finds them in O(k log n) steps
+for any other profile.  On such a profile `canonical_codes` works from
+the runs: each length's symbols are one ``range``, and a symbol's rank is
+its offset from the range's start.  `pack_container` writes the runs as
+the container's header, and `unpack_container` reads them back.  `encode`
+and `decode` then work in proportion to the message.  Every other
+profile takes the same steps symbol by symbol, with the same results and
+errors.
 
 Neither direction runs a Python loop turn per bit.  Each makes one pass
 per message and holds the message's bits as one '0'/'1' string, one
@@ -27,10 +30,24 @@ Turpin's table-driven canonical decoder: one dict lookup of the next W
 stream bits gives the symbol and length of any codeword of at most W
 bits, and a longer codeword costs one bisection over at most k
 left-justified limits, k being the number of distinct codeword lengths.
-The container format is:
+The container has two header forms, the per-symbol one:
 
     magic "PFX1" | n (8-byte LE) | n lengths (2-byte LE each)
     | payload bit count (8-byte LE) | packed payload
+
+and the run one, the count of each length (Moffat and Turpin 1997; the
+BITS list of JPEG's DHT segment, ITU-T T.81), lengths strictly falling:
+
+    magic "PFX2" | n (8-byte LE) | k (2-byte LE)
+    | k x (length (2-byte LE), count (8-byte LE))
+    | payload bit count (8-byte LE) | packed payload
+
+`pack_container` writes the run form for integer lengths that never
+increase, when its 2 + 10k header bytes are fewer than the 2n of the
+per-symbol form and n is at most `MAX_RUN_SYMBOLS`; any other lengths
+keep the per-symbol form.  `unpack_container` reads both, and refuses a
+run header that declares more than `MAX_RUN_SYMBOLS` symbols before it
+builds any list.
 """
 
 from __future__ import annotations
@@ -45,7 +62,12 @@ from typing import Iterable, Sequence
 from .core import (CodeLengthProfile, _kraft_scaled, _length_counts, _length_runs,
                    check_length_range)
 
-MAGIC = b"PFX1"
+MAGIC = b"PFX1"  # the per-symbol header
+RUN_MAGIC = b"PFX2"  # the run header
+
+# The most symbols a run header may declare, so that a short header cannot
+# make `unpack_container` build a list of arbitrary length.
+MAX_RUN_SYMBOLS = 1 << 24
 
 # Decode window W in bits; `_window_bits` picks it within these limits.
 WINDOW_MIN_BITS = 6
@@ -127,7 +149,7 @@ def canonical_codes(lengths: CodeLengthProfile) -> CanonicalTable:
     at most 1.
     """
     ls = lengths.lengths
-    runs = _length_runs(ls)
+    runs = lengths._runs
     if runs is None:
         groups = _group_symbols(ls)
     else:
@@ -291,51 +313,62 @@ def _bit_strings(k: int) -> list[str]:
 def pack_container(lengths: Sequence[int], payload: bytes, bit_count: int) -> bytes:
     """The container of `lengths`, `payload` and its exact `bit_count`.
 
-    Integer lengths that never increase are written run by run, as one
-    2-byte string repeated per run (`core._length_runs`); any other lengths
-    one by one.  Both give the same bytes, and a length or bit count that
-    does not fit raises the same `ContainerFormatError`.
+    Integer lengths that never increase (`core._length_runs`) take the run
+    header, ``PFX2``, when it is shorter than the per-symbol one and n is
+    at most `MAX_RUN_SYMBOLS`; any other lengths the per-symbol header,
+    ``PFX1``.  A length or bit count that does not fit raises
+    `ContainerFormatError`.
     """
     runs = _length_runs(lengths)
-    try:
-        # a float equal to an int passes the runs' count, not struct.pack
-        exact = runs is not None and type(sum(lengths)) is int
-    except TypeError:
-        exact = False
     n = len(lengths)
     try:
-        if exact:
-            head = struct.pack("<Q", n) + b"".join(struct.pack("<H", l) * (hi - lo)
-                                                   for l, lo, hi in runs)
+        # a float equal to an int passes the runs' count, not struct.pack
+        run_form = (runs is not None and n <= MAX_RUN_SYMBOLS and 2 + 10 * len(runs) < 2 * n
+                    and type(sum(lengths)) is int)
+    except TypeError:
+        run_form = False
+    try:
+        if run_form:
+            head = RUN_MAGIC + struct.pack("<QH", n, len(runs)) + b"".join(
+                struct.pack("<HQ", l, hi - lo) for l, lo, hi in runs)
         else:
-            head = struct.pack(f"<Q{n}H", n, *lengths)
+            head = MAGIC + struct.pack(f"<Q{n}H", n, *lengths)
         tail = struct.pack("<Q", bit_count)
     except struct.error as exc:
         raise ContainerFormatError(f"cannot pack the container: {exc}") from None
-    return b"".join((MAGIC, head, tail, payload))
+    return b"".join((head, tail, payload))
 
 
 def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
-    """Returns (lengths, payload, bit count).
+    """Returns (lengths, payload, bit count), from either header form.
 
     Accepts only what `pack_container` writes for a complete code: lengths
     in 1..max(1, n-1) with Kraft sum 1 (for n >= 2), and a payload of
-    exactly ceil(bits/8) bytes whose pad bits are zero.  One count of
-    each distinct length (`core._length_counts`: from the runs of lengths
-    that never increase, else a `Counter`) serves both length checks,
-    which read only its k keys; a range fault is reported before a Kraft
-    fault.
+    exactly ceil(bits/8) bytes whose pad bits are zero.  A run header must
+    also declare at most `MAX_RUN_SYMBOLS` symbols, checked before any
+    list is built, and hold at least one run, no run of zero symbols,
+    strictly falling lengths and counts that sum to n.  One count of each
+    distinct length (from the run header, or from the runs of per-symbol
+    lengths that never increase, else from a `Counter`) serves both
+    length checks, which read only its k keys; a range fault is reported
+    before a Kraft fault.
     """
-    if len(blob) < 12 or blob[:4] != MAGIC:
+    magic = blob[:4]
+    if len(blob) < 12 or magic not in (MAGIC, RUN_MAGIC):
         raise ContainerFormatError("bad magic")
     n = struct.unpack_from("<Q", blob, 4)[0]
-    off = 12
-    if len(blob) < off + 2 * n + 8:
-        raise ContainerFormatError("truncated header")
-    if n == 0:
-        raise ContainerFormatError("no codeword lengths")
-    lengths = struct.unpack_from(f"<{n}H", blob, off)
-    counts = _length_counts(lengths)
+    if magic == MAGIC:
+        off = 12 + 2 * n
+        if len(blob) < off + 8:
+            raise ContainerFormatError("truncated header")
+        if n == 0:
+            raise ContainerFormatError("no codeword lengths")
+        lengths = struct.unpack_from(f"<{n}H", blob, 12)
+        runs = None
+        counts = _length_counts(lengths, _length_runs(lengths))
+    else:
+        runs, off = _read_run_header(blob, n)
+        counts = dict(runs)
     try:
         check_length_range(counts, n)
     except ValueError as exc:
@@ -343,7 +376,6 @@ def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
     num, top = _kraft_scaled(counts)
     if n >= 2 and num != 1 << top:
         raise ContainerFormatError("codeword lengths do not have Kraft sum 1")
-    off += 2 * n
     bit_count = struct.unpack_from("<Q", blob, off)[0]
     off += 8
     payload = blob[off:]
@@ -353,4 +385,31 @@ def unpack_container(blob: bytes) -> tuple[list[int], bytes, int]:
         raise ContainerFormatError("bytes past the end of the payload")
     if payload and payload[-1] & (0xFF >> ((bit_count - 1) % 8 + 1)):
         raise ContainerFormatError("non-zero pad bits")
-    return list(lengths), payload, bit_count
+    if runs is None:
+        return list(lengths), payload, bit_count
+    lengths = []
+    for l, c in runs:
+        lengths.extend(repeat(l, c))
+    return lengths, payload, bit_count
+
+
+def _read_run_header(blob: bytes, n: int) -> tuple[list[tuple[int, int]], int]:
+    """The (length, count) runs of a ``PFX2`` container that declares `n`
+    symbols, and the offset of its bit count."""
+    if n > MAX_RUN_SYMBOLS:
+        raise ContainerFormatError(
+            f"run header declares {n} symbols, more than {MAX_RUN_SYMBOLS}")
+    k = struct.unpack_from("<H", blob, 12)[0] if len(blob) >= 14 else 0
+    off = 14 + 10 * k
+    if len(blob) < off + 8:
+        raise ContainerFormatError("truncated run header")
+    if k == 0:
+        raise ContainerFormatError("run header holds no runs")
+    runs = list(struct.iter_unpack("<HQ", blob[14:off]))
+    if not all(c for _, c in runs):
+        raise ContainerFormatError("run header holds a run of no symbols")
+    if not all(a > b for (a, _), (b, _) in zip(runs, runs[1:])):
+        raise ContainerFormatError("run lengths do not strictly fall")
+    if (total := sum(c for _, c in runs)) != n:
+        raise ContainerFormatError(f"run counts sum to {total}, not to n = {n}")
+    return runs, off

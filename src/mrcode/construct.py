@@ -332,12 +332,14 @@ def construct_lengths(weights: WeightList,
         iteration_hook(levels.snapshot())
 
     if type(pool.arr) is Positions:
-        # the runs tile the input in position order, and position is index;
-        # the top level's length is the shortest of the k
+        # the runs tile the input in position order, and position is index,
+        # so they are the profile's runs; the top level's length is the
+        # shortest of the k
         if root <= levels.top():
             raise AssertionError(f"root level {root} is not above the top level")
+        runs = tuple((root - lv, lo, hi) for lv, (lo, hi) in levels.runs.items())
         profile = CodeLengthProfile._checked(tuple(chain.from_iterable(
-            repeat(root - lv, hi - lo) for lv, (lo, hi) in levels.runs.items())))
+            repeat(l, hi - lo) for l, lo, hi in runs)), runs)
     else:
         lengths = [0] * n
         arr = pool.arr

@@ -190,15 +190,22 @@ class CodeLengthProfile:
     length, before the range is checked; a ``bool`` is stored as an
     ``int``.  The lengths are stored as a tuple, whatever sequence they
     came in, so every profile hashes.
+
+    A profile whose lengths never increase also holds its (length, lo, hi)
+    runs (``_runs``, see `_length_runs`; None for any other profile), which
+    `kraft_sum` and `canonical_codes` read.  They follow from the lengths
+    and take no part in equality, hashing or ``repr``.  The shortest
+    length is then the last run's, with no pass over the n lengths.
     """
 
     lengths: tuple[int, ...]
+    _runs: tuple[tuple[int, int, int], ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ls = self.lengths
         if type(ls) is not tuple:
             ls = tuple(ls)
-            object.__setattr__(self, "lengths", ls)
         if not ls:
             raise ValueError("empty length profile")
         try:
@@ -207,24 +214,34 @@ class CodeLengthProfile:
             exact = type(sum(ls)) is int
         except TypeError:
             exact = False
-        if not exact or (lo := min(ls)) == 1 and bool in set(map(type, ls)):
+        if not exact:
             ls = tuple(_as_int(l, "codeword length") for l in ls)
-            object.__setattr__(self, "lengths", ls)
-            lo = min(ls)
+        runs = _length_runs(ls)
+        # the shortest length, from the last run if there are runs; only a
+        # shortest length of 1 can be a True
+        lo, start = runs[-1][:2] if runs else (min(ls), 0)
+        if lo == 1 and bool in set(map(type, ls[start:])):
+            ls = tuple(_as_int(l, "codeword length") for l in ls)
+            runs = _length_runs(ls)
         if lo < 1:
             raise ValueError("codeword lengths must be >= 1")
+        object.__setattr__(self, "lengths", ls)
+        object.__setattr__(self, "_runs", None if runs is None else tuple(runs))
 
     @classmethod
-    def _checked(cls, lengths: tuple[int, ...]) -> "CodeLengthProfile":
-        """A profile of lengths the caller has shown to be non-empty and
-        at least 1, without a second pass over them."""
+    def _checked(cls, lengths: tuple[int, ...],
+                 runs: tuple[tuple[int, int, int], ...]) -> "CodeLengthProfile":
+        """The profile of `lengths`, given as their `runs`, which the
+        caller has shown to be non-empty and at least 1, without a pass
+        over the lengths."""
         profile = object.__new__(cls)
         object.__setattr__(profile, "lengths", lengths)
+        object.__setattr__(profile, "_runs", runs)
         return profile
 
     @property
     def kraft(self) -> Fraction:
-        return kraft_sum(self.lengths)
+        return kraft_sum(self)
 
     @property
     def kraft_numerator(self) -> int:
@@ -290,11 +307,15 @@ def kraft_sum(lengths: Sequence[int] | CodeLengthProfile) -> Fraction:
     The numerator and denominator have about max(lengths) bits, so cost
     and memory grow with the longest length, which this function does not
     bound.  `mrcode verify` and `unpack_container` bound the lengths with
-    `check_length_range` before they take a Kraft sum.
+    `check_length_range` before they take a Kraft sum.  The count of each
+    length comes from the runs a profile holds, else from those of lengths
+    that never increase (`_length_runs`), else from one `Counter`.
     """
     if isinstance(lengths, CodeLengthProfile):
-        lengths = lengths.lengths
-    num, top = _kraft_scaled(_length_counts(lengths))
+        runs, lengths = lengths._runs, lengths.lengths
+    else:
+        runs = _length_runs(lengths)
+    num, top = _kraft_scaled(_length_counts(lengths, runs))
     return Fraction(num, 1 << top)
 
 
@@ -330,10 +351,11 @@ def _length_runs(ls: Sequence[int]) -> list[tuple[int, int, int]] | None:
         return None
 
 
-def _length_counts(ls: Sequence[int]) -> Mapping[int, int]:
-    """Each distinct length with its count: taken from the runs of a
-    profile whose lengths never increase, else from one `Counter`."""
-    runs = _length_runs(ls)
+def _length_counts(ls: Sequence[int],
+                   runs: Sequence[tuple[int, int, int]] | None) -> Mapping[int, int]:
+    """Each distinct length with its count: taken from `runs`, the runs of
+    a profile whose lengths never increase (see `_length_runs`), or, when
+    they are None, from one `Counter` of the lengths."""
     return Counter(ls) if runs is None else {l: hi - lo for l, lo, hi in runs}
 
 

@@ -194,6 +194,12 @@ def test_decode_rejects_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"not a container")
     assert main(["decode", "--in", str(bad)]) == 2
+    # a run header whose counts, 8 lengths of 3, sum to n - 1
+    bad.write_bytes(b"PFX2" + (9).to_bytes(8, "little") + (1).to_bytes(2, "little")
+                    + (3).to_bytes(2, "little") + (8).to_bytes(8, "little") + bytes(8))
+    capsys.readouterr()
+    assert main(["decode", "--in", str(bad)]) == 2
+    assert capsys.readouterr().err == f"mrcode: error: {bad}: run counts sum to 8, not to n = 9\n"
 
 
 def test_encode_rejects_out_of_range_symbol(tmp_path):

@@ -186,15 +186,175 @@ def test_container_rejects_kraft_sum_not_one():
     assert unpack_container(pack_container([1], b"", 0)) == ([1], b"", 0)
 
 
+def _run_container(n, runs, bits=0, payload=b"", k=None):
+    """A ``PFX2`` container declaring `n` symbols, its (length, count)
+    `runs` and `k` runs (default: as many as given)."""
+    import struct
+    head = b"PFX2" + struct.pack("<QH", n, len(runs) if k is None else k)
+    return (head + b"".join(struct.pack("<HQ", l, c) for l, c in runs)
+            + struct.pack("<Q", bits) + payload)
+
+
+def test_run_header_golden_bytes():
+    # eight lengths of 3: a 10-byte run header against 16 bytes of lengths
+    blob = pack_container([3] * 8, b"\x2c", 6)
+    assert blob == (b"PFX2"
+                    + (8).to_bytes(8, "little")
+                    + (1).to_bytes(2, "little")
+                    + (3).to_bytes(2, "little") + (8).to_bytes(8, "little")
+                    + (6).to_bytes(8, "little")
+                    + b"\x2c")
+    assert blob == _run_container(8, [(3, 8)], 6, b"\x2c")
+    assert unpack_container(blob) == ([3] * 8, b"\x2c", 6)
+
+
+def test_run_header_only_where_it_is_shorter():
+    # the run header takes 2 + 10k bytes where the per-symbol one takes 2n
+    for lengths, magic in (([1, 1], b"PFX1"), ([2] * 4, b"PFX1"), ([3] * 4 + [2] * 2, b"PFX1"),
+                           ([3, 3, 2, 1], b"PFX1"), ([4] * 8 + [2] * 2, b"PFX1"),
+                           ([4] * 8 + [3] * 2 + [2], b"PFX1"), ([2, 3, 3, 1], b"PFX1"),
+                           ([3] * 8, b"PFX2"), ([4] * 12 + [3] * 2, b"PFX2")):
+        blob = pack_container(lengths, b"", 0)
+        assert blob[:4] == magic, lengths
+        assert unpack_container(blob) == (lengths, b"", 0)
+        if magic == b"PFX1":
+            assert blob == _reference_container(lengths, b"", 0)
+    # 2 + 10 * 1 < 2 * n from n = 7 on
+    assert pack_container([3] * 6, b"", 0)[:4] == b"PFX1"
+    assert pack_container([3] * 7, b"", 0)[:4] == b"PFX2"
+    # floats equal to ints keep the per-symbol header, whose packing refuses them
+    with pytest.raises(ContainerFormatError, match="^cannot pack the container"):
+        pack_container([3.0] * 8, b"", 0)
+
+
+def test_presorted_round_trip_container_is_small():
+    # the 98 306 lengths of presorted example41-65536 are three runs
+    table = _example41_presorted_table(65536)
+    rng = random.Random(16)
+    message = [rng.randrange(len(table.lengths)) for _ in range(256)]
+    payload, bits = encode(message, table)
+    blob = pack_container(table.lengths, payload, bits)
+    assert blob[:4] == b"PFX2" and len(blob) < 1024
+    lengths, payload_in, bits_in = unpack_container(blob)
+    assert tuple(lengths) == table.lengths and (payload_in, bits_in) == (payload, bits)
+    assert decode(payload_in, bits_in, canonical_codes(CodeLengthProfile(lengths))) == message
+
+
+def test_run_header_bounds_n():
+    # one run of 2^40 lengths of 40 has Kraft sum 1; its 32-byte container
+    # is refused before any list is built
+    blob = _run_container(1 << 40, [(40, 1 << 40)])
+    with mock.patch.object(codec, "repeat", mock.Mock(side_effect=AssertionError)):
+        with pytest.raises(ContainerFormatError,
+                           match=r"^run header declares 1099511627776 symbols, "
+                                 r"more than 16777216$"):
+            unpack_container(blob)
+    assert codec.MAX_RUN_SYMBOLS == 1 << 24
+    # above the bound, pack_container writes the per-symbol header, which
+    # unpacks; at the bound, the run header
+    lengths = [5] * 32
+    with mock.patch.object(codec, "MAX_RUN_SYMBOLS", 31):
+        blob = pack_container(lengths, b"", 0)
+        assert blob == _reference_container(lengths, b"", 0)
+        assert unpack_container(blob) == (lengths, b"", 0)
+        with pytest.raises(ContainerFormatError, match="^run header declares 32 symbols"):
+            unpack_container(_run_container(32, [(5, 32)]))
+    with mock.patch.object(codec, "MAX_RUN_SYMBOLS", 32):
+        blob = pack_container(lengths, b"", 0)
+        assert blob[:4] == b"PFX2"
+        assert unpack_container(blob) == (lengths, b"", 0)
+
+
+def test_run_header_rejects_no_runs():
+    for n in (0, 2):
+        with pytest.raises(ContainerFormatError, match="^run header holds no runs$"):
+            unpack_container(_run_container(n, []))
+
+
+def test_run_header_rejects_a_zero_count():
+    for runs in ([(2, 0), (1, 2)], [(3, 4), (2, 2), (1, 0)], [(1, 0)]):
+        n = sum(c for _, c in runs)
+        with pytest.raises(ContainerFormatError, match="^run header holds a run of no symbols$"):
+            unpack_container(_run_container(n, runs))
+
+
+def test_run_header_rejects_lengths_that_do_not_strictly_fall():
+    # equal lengths in two runs, a rise, and a rise after a fall; each
+    # profile would otherwise pass the range and Kraft checks
+    for runs in ([(2, 2), (2, 2)], [(1, 1), (2, 2)], [(3, 4), (2, 1), (3, 4), (1, 1)]):
+        n = sum(c for _, c in runs)
+        with pytest.raises(ContainerFormatError, match="^run lengths do not strictly fall$"):
+            unpack_container(_run_container(n, runs))
+
+
+def test_run_header_rejects_counts_that_do_not_sum_to_n():
+    runs = [(18, 65536), (17, 32768), (2, 2)]
+    for n in (98305, 98307, 0):
+        with pytest.raises(ContainerFormatError,
+                           match=rf"^run counts sum to 98306, not to n = {n}$"):
+            unpack_container(_run_container(n, runs))
+
+
+def test_run_header_rejects_length_out_of_range():
+    for n, runs, bound in ((4, [(4, 2), (2, 1), (1, 1)], 3), (2, [(1, 1), (0, 1)], 1),
+                           (1, [(2, 1)], 1), (8, [(65535, 8)], 7)):
+        with pytest.raises(ContainerFormatError,
+                           match=rf"^codeword lengths must lie in 1\.\.{bound}$"):
+            unpack_container(_run_container(n, runs))
+
+
+def test_run_header_rejects_kraft_sum_not_one():
+    for runs in ([(3, 8), (1, 1)], [(3, 7)], [(3, 6), (2, 2)]):
+        n = sum(c for _, c in runs)
+        with pytest.raises(ContainerFormatError,
+                           match="^codeword lengths do not have Kraft sum 1$"):
+            unpack_container(_run_container(n, runs))
+    assert unpack_container(_run_container(1, [(1, 1)])) == ([1], b"", 0)
+
+
+def test_run_header_rejects_truncation():
+    blob = _run_container(8, [(4, 4), (3, 2), (2, 2)])  # Kraft sum 1
+    assert unpack_container(blob) == ([4] * 4 + [3] * 2 + [2] * 2, b"", 0)
+    for cut in range(12, len(blob)):
+        with pytest.raises(ContainerFormatError, match="^truncated run header$"):
+            unpack_container(blob[:cut])
+    # a k that claims more runs than the header holds
+    with pytest.raises(ContainerFormatError, match="^truncated run header$"):
+        unpack_container(_run_container(8, [(3, 8)], k=2))
+
+
+def test_run_header_payload_checks():
+    # after a run header, the payload checks of the per-symbol form
+    lengths = [3] * 8
+    payload, bits = encode([0, 7, 3], canonical_codes(CodeLengthProfile(lengths)))
+    assert bits % 8
+    blob = pack_container(lengths, payload, bits)
+    assert blob[:4] == b"PFX2"
+    assert unpack_container(blob) == (lengths, payload, bits)
+    for bad, message in ((blob + b"\x00", "bytes past the end of the payload"),
+                         (blob[:-1], "payload shorter than the declared bit count"),
+                         (blob[:-1] + bytes([blob[-1] | 1]), "non-zero pad bits")):
+        with pytest.raises(ContainerFormatError, match=f"^{message}$"):
+            unpack_container(bad)
+
+
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**30),
        st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=0, max_value=255)),
                 max_size=4),
-       st.integers(min_value=-3, max_value=3))
+       st.integers(min_value=-3, max_value=3), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_mutated_containers_decode_or_raise_typed_errors(n, seed, edits, resize):
+def test_mutated_containers_decode_or_raise_typed_errors(n, seed, edits, resize, monotone):
     rng = random.Random(seed)
-    w = WeightList.from_values([rng.randint(1, 50) for _ in range(n)])
-    profile = huffman_lengths(w) if n > 1 else CodeLengthProfile((1,))
+    if monotone:
+        # sorted weights of few distinct values: lengths that never increase,
+        # most of them in a run header that the edits then land in
+        n = 8 * n
+        w = WeightList.from_values(sorted(rng.randint(1, rng.choice([2, 4, 50]))
+                                          for _ in range(n)), sorted_flag=True)
+        profile, _ = construct_lengths(w)
+    else:
+        w = WeightList.from_values([rng.randint(1, 50) for _ in range(n)])
+        profile = huffman_lengths(w) if n > 1 else CodeLengthProfile((1,))
     message = [rng.randrange(n) for _ in range(rng.randint(0, 20))]
     payload, bits = encode(message, canonical_codes(profile))
     blob = bytearray(pack_container(profile.lengths, payload, bits))
@@ -450,7 +610,8 @@ def _run_profiles(draw):
     adjacent swap, a run split by another length, a last length out of
     order.  Some take 0, 65 536 or -1 at a run's end, or a float, a bool or
     a `Decimal` in place of a length; these reach only `pack_container`."""
-    lengths = sorted(draw(st.lists(st.integers(1, 16), max_size=48)), reverse=True)
+    top = draw(st.sampled_from([2, 4, 16]))  # few distinct lengths take the run header
+    lengths = sorted(draw(st.lists(st.integers(1, top), max_size=48)), reverse=True)
     kind = draw(st.sampled_from(["runs", "swap", "split", "last", "edge", "type"]))
     if kind == "swap" and len(set(lengths)) > 1:
         i = draw(st.sampled_from([i for i in range(len(lengths) - 1)
@@ -505,10 +666,28 @@ def test_run_check_reads_every_length_of_long_runs():
 
 def _per_symbol(fn, *args):
     """`_outcome` of fn(*args) with the run reader refusing every profile,
-    so each one takes the per-symbol path."""
+    so each one takes the per-symbol path.  A profile among the arguments
+    is rebuilt under the refusal, so that it holds no runs."""
     with mock.patch.object(core, "_length_runs", lambda ls: None), \
             mock.patch.object(codec, "_length_runs", lambda ls: None):
+        args = [CodeLengthProfile(a.lengths) if isinstance(a, CodeLengthProfile) else a
+                for a in args]
         return _outcome(fn, *args)
+
+
+def _assert_same_containers(lengths, payload, bits):
+    """The containers of the run path and of the per-symbol path unpack to
+    the same outcome, and the per-symbol one is the reference's bytes; or
+    both paths raise the same error."""
+    blob = _outcome(pack_container, lengths, payload, bits)
+    flat = _per_symbol(pack_container, lengths, payload, bits)
+    if not isinstance(flat, bytes):
+        assert blob == flat
+        return
+    assert flat == _reference_container(lengths, payload, bits)
+    got = _outcome(unpack_container, blob)
+    assert got == _outcome(unpack_container, flat) == _per_symbol(unpack_container, flat)
+    assert got == _per_symbol(unpack_container, blob)
 
 
 def _contents(table):
@@ -531,17 +710,19 @@ def _contents(table):
 @example([2, True, 1], random.Random(0))
 @example((Decimal("NaN"),), random.Random(0))
 @example((Decimal(2), Decimal(2), Decimal(1)), random.Random(0))
+@example((3,) * 8, random.Random(0))           # the run header, complete
+@example((5,) * 12 + (2,) * 3, random.Random(0))  # the run header, Kraft sum below 1
+@example((4,) * 12 + (0,), random.Random(0))
+@example((65536,) * 8, random.Random(0))
+@example([True] * 8, random.Random(0))
 def test_run_path_matches_per_symbol_path(lengths, rng):
     """On every length sequence, the runs of a profile that never
     increases and the per-symbol path give the same tables, Kraft sums,
-    containers, decoded symbols and errors."""
+    decoded symbols and errors, and containers that unpack alike."""
     ls = tuple(lengths)
     runs = core._length_runs(lengths)
     assert runs == _expected_runs(ls)
-    blob = _outcome(pack_container, lengths, b"", 0)
-    assert blob == _per_symbol(pack_container, lengths, b"", 0)
-    if isinstance(blob, bytes):
-        assert _outcome(unpack_container, blob) == _per_symbol(unpack_container, blob)
+    _assert_same_containers(lengths, b"", 0)
     if not ls or not all(type(l) is int and 1 <= l <= 64 for l in ls):
         return
     profile = CodeLengthProfile(lengths)
@@ -556,10 +737,7 @@ def test_run_path_matches_per_symbol_path(lengths, rng):
     message = [rng.randrange(n) for _ in range(rng.choice([0, 1, 5, 300]))]
     payload, bits = encode(message, table)
     assert (payload, bits) == encode(message, flat) == reference_encode(message, table)
-    blob = _outcome(pack_container, lengths, payload, bits)
-    assert blob == _per_symbol(pack_container, lengths, payload, bits)
-    if isinstance(blob, bytes):
-        assert _outcome(unpack_container, blob) == _per_symbol(unpack_container, blob)
+    _assert_same_containers(lengths, payload, bits)
     cut = rng.randrange(bits + 1)
     for t in (table, flat):
         assert _outcome(decode, payload, cut, t) == _outcome(reference_decode, payload, cut, flat)

@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from decimal import Decimal
@@ -6,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mrcode import (CodeLengthProfile, InvalidAssignmentError, LevelState,
+from mrcode import (CodeLengthProfile, ConstructionMode, InvalidAssignmentError, LevelState,
                     WeightItem, WeightList, assignment_from_lengths,
                     code_cost, construct_lengths, distinct_length_count,
                     generators, kraft_sum, monotone, verify_exclusion)
+from mrcode import core
 from mrcode.core import MAX_WEIGHT
 from oracles import WORKED_COST, WORKED_VALUES
 
@@ -103,6 +105,55 @@ def test_length_profile_from_a_list_hashes():
         assert hash(p) == hash(profile(*lengths))
     with pytest.raises(ValueError, match=r"^empty length profile$"):
         CodeLengthProfile([])
+
+
+def test_profile_runs_take_no_part_in_identity():
+    # a presorted construction hands its runs to the profile; one built
+    # from the same lengths finds them; both are the same profile
+    values = sorted(generators.generate("example41", 65536))
+    built, _ = construct_lengths(WeightList.from_values(values, sorted_flag=True))
+    plain = CodeLengthProfile(built.lengths)
+    assert built._runs == plain._runs == tuple(core._length_runs(built.lengths)) \
+        == ((18, 0, 65536), (17, 65536, 98304), (2, 98304, 98306))
+    assert built == plain and hash(built) == hash(plain) and repr(built) == repr(plain)
+    assert repr(built).startswith("CodeLengthProfile(lengths=(18, 18") and "_runs" not in repr(built)
+    for p in (built, plain):
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == built and hash(copy) == hash(built) and repr(copy) == repr(built)
+        assert copy._runs == built._runs
+        assert kraft_sum(copy) == 1 and len(copy) == 98306
+    # a profile that is not monotone holds no runs, and compares by lengths
+    assert CodeLengthProfile((1, 2, 2))._runs is None
+    assert CodeLengthProfile((1, 2, 2)) == CodeLengthProfile([1, 2, 2])
+    # the runs of presorted constructions equal the reader's, in both modes
+    rng = random.Random(16)
+    for _ in range(60):
+        values = sorted(rng.randint(1, rng.choice([3, 50, 10**6]))
+                        for _ in range(rng.randint(2, 80)))
+        for algorithm in ("detailed", "basic"):
+            got, _ = construct_lengths(WeightList.from_values(values, sorted_flag=True),
+                                       ConstructionMode(algorithm))
+            assert got._runs == tuple(core._length_runs(got.lengths)) \
+                == CodeLengthProfile(got.lengths)._runs
+
+
+def test_profile_with_runs_keeps_the_input_rules():
+    # lengths that never increase take the run path, and keep every rule
+    for lengths, bad in (((3.0, 3.0, 2.0, 1.0), "3.0"), ((3, 3, 2.0, 1), "2.0"),
+                         ((3, 3, Decimal("NaN")), "Decimal('NaN')"),
+                         ((Decimal("NaN"), 1), "Decimal('NaN')"), ((2, 2, Decimal(1)), "Decimal('1')")):
+        with pytest.raises(TypeError, match=f"^codeword length {re.escape(bad)} is not an integer$"):
+            CodeLengthProfile(lengths)
+    # a True in the run of length 1 is stored as an int
+    for lengths in ((2, 2, True, 1), (3, 3, 2, True), (True, True)):
+        p = CodeLengthProfile(lengths)
+        assert all(type(l) is int for l in p.lengths)
+        assert p == CodeLengthProfile(tuple(map(int, lengths)))
+        assert p._runs == tuple(core._length_runs(p.lengths))
+        assert all(type(l) is int for l, _, _ in p._runs)
+    for lengths in ((2, 2, False), (3, 0, 0), (2, 1, -1), (True, False)):
+        with pytest.raises(ValueError, match=r"^codeword lengths must be >= 1$"):
+            CodeLengthProfile(lengths)
 
 
 def test_weight_list_validation():
