@@ -14,7 +14,7 @@ from .split import (LeafSlice, SplitResult, add_weights, cut,
                     find_splitting_all, find_splitting_internal,
                     find_t_largest, find_t_smallest, node_count)
 from .construct import ConstructionMode, construct_lengths
-from .oracle import brute_force_optimal, huffman_lengths, huffman_sorted_lengths
+from .oracle import huffman_lengths, huffman_sorted_lengths
 from .codec import (CanonicalTable, ContainerFormatError, DecodeError,
                     canonical_codes, decode, encode, pack_container,
                     unpack_container)
@@ -26,9 +26,9 @@ __all__ = [
     "ConstructionMode", "ConstructionStats", "ContainerFormatError",
     "DecodeError", "InvalidAssignmentError", "LeafSlice", "LevelState",
     "LevelTraceEntry", "SplitResult", "WeightItem", "WeightList",
-    "add_weights", "assignment_from_lengths", "brute_force_optimal",
-    "canonical_codes", "code_cost", "construct_lengths", "cut",
-    "decode", "distinct_length_count", "encode",
+    "add_weights", "assignment_from_lengths", "canonical_codes",
+    "code_cost", "construct_lengths", "cut", "decode",
+    "distinct_length_count", "encode",
     "find_splitting_all", "find_splitting_internal", "find_t_largest",
     "find_t_smallest", "huffman_lengths", "huffman_sorted_lengths",
     "kraft_sum", "monotone", "node_count",

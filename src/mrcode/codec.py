@@ -96,9 +96,7 @@ class CanonicalTable:
     is its length's first code plus its rank in its group.  ``groups`` is
     what `encode` and `decode` read.  It follows from ``lengths`` and takes
     no part in equality, so a table compares by its lengths and per-length
-    codes.
-    `symbols_by_rank` gives the groups as tuples and `codes` derives every
-    codeword; both are made on each read.
+    codes.  `codeword_bits` derives one symbol's codeword.
     """
 
     lengths: tuple[int, ...]
@@ -109,22 +107,6 @@ class CanonicalTable:
     @property
     def max_length(self) -> int:
         return len(self.counts) - 1
-
-    @property
-    def symbols_by_rank(self) -> tuple[tuple[int, ...], ...]:
-        """Per length, the symbols of that length in index order, as tuples."""
-        return tuple(map(tuple, self.groups))
-
-    @property
-    def codes(self) -> tuple[int, ...]:
-        """Per-symbol codeword values, made by one pass over the groups on
-        every read."""
-        codes = [0] * len(self.lengths)
-        for syms, code in zip(self.groups, self.first_codes):
-            for sym in syms:
-                codes[sym] = code
-                code += 1
-        return tuple(codes)
 
     def codeword_bits(self, symbol: int) -> str:
         """The codeword of `symbol`, in 0..n-1, as a '0'/'1' string: its
@@ -243,6 +225,8 @@ def decode(payload: bytes, bit_count: int, table: CanonicalTable) -> list[int]:
     longer than W.  Only the per-length fields of the table are read, so
     a table of range groups costs nothing per symbol of the alphabet.
     """
+    if bit_count < 0:
+        raise DecodeError(f"negative bit count {bit_count}")
     if bit_count > len(payload) * 8:
         raise DecodeError("bit count exceeds the payload")
     top = table.max_length

@@ -183,7 +183,7 @@ class WeightList:
 
 @dataclass(frozen=True)
 class CodeLengthProfile:
-    """Per-input-index codeword lengths with exact Kraft accounting.
+    """Per-input-index codeword lengths; `kraft_sum` gives their Kraft sum.
 
     Every length must be an integer of at least 1.  A float, str,
     `Decimal`, `Fraction` or NaN raises `TypeError` naming the first such
@@ -239,18 +239,6 @@ class CodeLengthProfile:
         object.__setattr__(profile, "_runs", runs)
         return profile
 
-    @property
-    def kraft(self) -> Fraction:
-        return kraft_sum(self)
-
-    @property
-    def kraft_numerator(self) -> int:
-        return self.kraft.numerator
-
-    @property
-    def kraft_denominator(self) -> int:
-        return self.kraft.denominator
-
     def __len__(self) -> int:
         return len(self.lengths)
 
@@ -304,18 +292,18 @@ class ConstructionStats:
 def kraft_sum(lengths: Sequence[int] | CodeLengthProfile) -> Fraction:
     """Exact dyadic value of sum(2^-l) over the profile; no floating point.
 
-    The numerator and denominator have about max(lengths) bits, so cost
-    and memory grow with the longest length, which this function does not
+    A plain sequence is first made a `CodeLengthProfile`, so it obeys the
+    profile's rules: empty lengths raise `ValueError`, a length that is
+    not an integer `TypeError`, and a length below 1 `ValueError`.  The
+    numerator and denominator have about max(lengths) bits, so cost and
+    memory grow with the longest length, which this function does not
     bound.  `mrcode verify` and `unpack_container` bound the lengths with
     `check_length_range` before they take a Kraft sum.  The count of each
-    length comes from the runs a profile holds, else from those of lengths
-    that never increase (`_length_runs`), else from one `Counter`.
+    length comes from the profile's runs, else from one `Counter`.
     """
-    if isinstance(lengths, CodeLengthProfile):
-        runs, lengths = lengths._runs, lengths.lengths
-    else:
-        runs = _length_runs(lengths)
-    num, top = _kraft_scaled(_length_counts(lengths, runs))
+    if not isinstance(lengths, CodeLengthProfile):
+        lengths = CodeLengthProfile(lengths)
+    num, top = _kraft_scaled(_length_counts(lengths.lengths, lengths._runs))
     return Fraction(num, 1 << top)
 
 
@@ -353,20 +341,18 @@ def _length_runs(ls: Sequence[int]) -> list[tuple[int, int, int]] | None:
 
 def _length_counts(ls: Sequence[int],
                    runs: Sequence[tuple[int, int, int]] | None) -> Mapping[int, int]:
-    """Each distinct length with its count: taken from `runs`, the runs of
-    a profile whose lengths never increase (see `_length_runs`), or, when
-    they are None, from one `Counter` of the lengths."""
+    """Each distinct length of `ls` with its count, from `runs`, the
+    (length, lo, hi) runs of `ls` when its lengths never increase (see
+    `_length_runs`), in O(k) steps, or, when they are None, from one
+    `Counter` of the lengths."""
     return Counter(ls) if runs is None else {l: hi - lo for l, lo, hi in runs}
 
 
 def _kraft_scaled(counts: Mapping[int, int]) -> tuple[int, int]:
-    """(num, top) with sum(2^-l) == num / 2^top, top the longest length
-    (0 for no lengths), in integers only, from the count of each distinct
-    length (see `_length_counts`): O(k) for k distinct lengths."""
-    if not counts:
-        return 0, 0
-    if min(counts) < 1:
-        raise ValueError("codeword lengths must be >= 1")
+    """(num, top) with sum(2^-l) == num / 2^top, top the longest length,
+    in integers only, from the count of each distinct length (see
+    `_length_counts`): O(k) for k distinct lengths.  The caller vouches
+    that `counts` is non-empty and every length at least 1."""
     top = max(counts)
     return sum(c << (top - l) for l, c in counts.items()), top
 

@@ -1,9 +1,7 @@
 """Reference constructors used for cross-checking and benchmarking.
 
-None of these share code with the split-engine construction: a heap-based
-greedy merge, the two-queue linear variant for presorted input, and an
-exhaustive minimum-cost search over all complete length profiles for tiny
-inputs.
+Neither shares code with the split-engine construction: a heap-based
+greedy merge, and the two-queue linear variant for presorted input.
 """
 
 from __future__ import annotations
@@ -83,68 +81,3 @@ def huffman_sorted_lengths(weights: WeightList,
     for node in range(2 * n - 3, -1, -1):
         depth[node] = depth[parent[node]] + 1
     return CodeLengthProfile(tuple(depth[:n]))
-
-
-_profile_cache: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _complete_profiles(n: int) -> list[tuple[int, ...]]:
-    """All non-increasing length lists of size n with 2^-l summing to 1.
-
-    Enumerated in units of 2^-(n-1): a length l consumes 2^(n-1-l) units and
-    the whole list must consume exactly 2^(n-1).
-    """
-    cached = _profile_cache.get(n)
-    if cached is not None:
-        return cached
-    out: list[tuple[int, ...]] = []
-    total_units = 1 << (n - 1)
-    prefix: list[int] = []
-
-    def rec(remaining_syms: int, remaining_units: int, max_len: int) -> None:
-        if remaining_syms == 0:
-            if remaining_units == 0:
-                out.append(tuple(prefix))
-            return
-        for length in range(max_len, 0, -1):
-            units = 1 << (n - 1 - length)
-            left = remaining_units - units
-            if left < (remaining_syms - 1) * units:
-                break  # smaller lengths only widen the gap
-            if left > (remaining_syms - 1) * (1 << (n - 2)):
-                continue  # the rest cannot absorb what remains
-            prefix.append(length)
-            rec(remaining_syms - 1, left, length)
-            prefix.pop()
-
-    rec(n, total_units, n - 1)
-    _profile_cache[n] = out
-    return out
-
-
-def brute_force_optimal(weights: WeightList) -> tuple[int, CodeLengthProfile]:
-    """Exact minimum cost by enumerating every complete length profile.
-
-    Longer lengths pair with smaller weights inside each profile (an
-    exchange argument makes that optimal per profile).  Only for n <= 12.
-    """
-    n = len(weights)
-    if n == 0:
-        raise ValueError("no weights")
-    if n > 12:
-        raise ValueError("brute force capped at n=12")
-    if n == 1:
-        return weights.items[0].value, CodeLengthProfile((1,))
-    order = sorted(weights.items)  # ascending (value, index)
-    values = [it.value for it in order]
-    best_cost = None
-    best = None
-    for profile in _complete_profiles(n):
-        cost = sum(v * l for v, l in zip(values, profile))
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best = profile
-    witness = [0] * n
-    for it, length in zip(order, best):
-        witness[it.index] = length
-    return best_cost, CodeLengthProfile(tuple(witness))

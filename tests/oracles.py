@@ -2,8 +2,10 @@
 
 The materializer builds every implied internal node of a level assignment
 the slow way (sort, pair, sum), so engine results can be checked against
-ground truth on small states.  The bit-at-a-time codec loops are the
-references the table-driven `encode` and `decode` are compared against.
+ground truth on small states.  The exhaustive search over all complete
+length profiles gives the exact minimum cost of tiny inputs.  The
+bit-at-a-time codec loops are the references the table-driven `encode`
+and `decode` are compared against.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import random
 
 from mrcode.codec import DecodeError
-from mrcode.core import WeightItem
+from mrcode.core import CodeLengthProfile, WeightItem, WeightList
 
 
 def materialize(levels: dict[int, list[WeightItem]], context: int):
@@ -117,10 +119,86 @@ def split_fixture_state() -> dict[int, list[WeightItem]]:
     return state
 
 
+_profile_cache: dict[int, list[tuple[int, ...]]] = {}
+
+
+def _complete_profiles(n: int) -> list[tuple[int, ...]]:
+    """All non-increasing length lists of size n with 2^-l summing to 1.
+
+    Enumerated in units of 2^-(n-1): a length l consumes 2^(n-1-l) units and
+    the whole list must consume exactly 2^(n-1).
+    """
+    cached = _profile_cache.get(n)
+    if cached is not None:
+        return cached
+    out: list[tuple[int, ...]] = []
+    total_units = 1 << (n - 1)
+    prefix: list[int] = []
+
+    def rec(remaining_syms: int, remaining_units: int, max_len: int) -> None:
+        if remaining_syms == 0:
+            if remaining_units == 0:
+                out.append(tuple(prefix))
+            return
+        for length in range(max_len, 0, -1):
+            units = 1 << (n - 1 - length)
+            left = remaining_units - units
+            if left < (remaining_syms - 1) * units:
+                break  # smaller lengths only widen the gap
+            if left > (remaining_syms - 1) * (1 << (n - 2)):
+                continue  # the rest cannot absorb what remains
+            prefix.append(length)
+            rec(remaining_syms - 1, left, length)
+            prefix.pop()
+
+    rec(n, total_units, n - 1)
+    _profile_cache[n] = out
+    return out
+
+
+def brute_force_optimal(weights: WeightList) -> tuple[int, CodeLengthProfile]:
+    """Exact minimum cost by enumerating every complete length profile.
+
+    Longer lengths pair with smaller weights inside each profile (an
+    exchange argument makes that optimal per profile).  Only for n <= 12.
+    """
+    n = len(weights)
+    if n == 0:
+        raise ValueError("no weights")
+    if n > 12:
+        raise ValueError("brute force capped at n=12")
+    if n == 1:
+        return weights.items[0].value, CodeLengthProfile((1,))
+    order = sorted(weights.items)  # ascending (value, index)
+    values = [it.value for it in order]
+    best_cost = None
+    best = None
+    for profile in _complete_profiles(n):
+        cost = sum(v * l for v, l in zip(values, profile))
+        if best_cost is None or cost < best_cost:
+            best_cost = cost
+            best = profile
+    witness = [0] * n
+    for it, length in zip(order, best):
+        witness[it.index] = length
+    return best_cost, CodeLengthProfile(tuple(witness))
+
+
+def reference_codes(table):
+    """Per-symbol codeword values, counted up from each length's first code
+    through the symbols of that length."""
+    codes = [0] * len(table.lengths)
+    for syms, code in zip(table.groups, table.first_codes):
+        for sym in syms:
+            codes[sym] = code
+            code += 1
+    return tuple(codes)
+
+
 def reference_encode(symbols, table):
     """One symbol and one output byte per loop turn."""
     lengths = table.lengths
-    codes = table.codes
+    codes = reference_codes(table)
     out = bytearray()
     buf = 0
     nbits = 0
@@ -147,7 +225,7 @@ def reference_decode(payload, bit_count, table):
         raise DecodeError("bit count exceeds the payload")
     first = table.first_codes
     counts = table.counts
-    by_rank = table.symbols_by_rank
+    by_rank = table.groups
     max_len = table.max_length
     out: list[int] = []
     code = 0

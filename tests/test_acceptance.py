@@ -13,7 +13,7 @@ import time
 import pytest
 
 from mrcode import (ConstructionMode, LeafSlice, WeightList,
-                    assignment_from_lengths, brute_force_optimal, canonical_codes,
+                    assignment_from_lengths, canonical_codes,
                     code_cost, construct_lengths, decode, encode,
                     find_splitting_all, find_splitting_internal, find_t_largest,
                     find_t_smallest, huffman_lengths, kraft_sum, monotone,
@@ -21,7 +21,8 @@ from mrcode import (ConstructionMode, LeafSlice, WeightList,
 from mrcode import generators
 from mrcode.core import MAX_WEIGHT
 from oracles import (WORKED_COST, WORKED_LENGTH_COUNTS, WORKED_VALUES,
-                     materialize, random_level_state, splitting_rank_all)
+                     brute_force_optimal, materialize, random_level_state,
+                     splitting_rank_all)
 
 DETAILED = ConstructionMode("detailed")
 BASIC = ConstructionMode("basic")

@@ -13,8 +13,8 @@ from mrcode import (CodeLengthProfile, ContainerFormatError, DecodeError,
                     pack_container, unpack_container)
 from mrcode import codec, core
 from mrcode.codec import CanonicalTable
-from oracles import (WORKED_COST, WORKED_VALUES, reference_decode,
-                     reference_encode)
+from oracles import (WORKED_COST, WORKED_VALUES, reference_codes,
+                     reference_decode, reference_encode)
 
 
 def test_two_codes():
@@ -30,7 +30,8 @@ def test_forced_canonical_order():
 def test_equal_lengths_are_consecutive_by_symbol():
     t = canonical_codes(CodeLengthProfile((2, 1, 2)))
     assert t.codeword_bits(1) == "0"
-    assert t.codes[0] + 1 == t.codes[2]
+    codes = reference_codes(t)
+    assert codes[0] + 1 == codes[2]
 
 
 def test_worked_example_prefix_free():
@@ -98,6 +99,10 @@ def test_truncated_stream_detected():
         decode(payload[:-1] if len(payload) > 1 else b"", bits, t)
     with pytest.raises(DecodeError, match="bit run exceeds the longest codeword"):
         decode(b"\xc0", 2, canonical_codes(CodeLengthProfile((1,))))
+    # a negative bit count is named before the payload is sliced
+    for bad in (-8, -3):
+        with pytest.raises(DecodeError, match=f"^negative bit count {bad}$"):
+            decode(b"X", bad, t)
 
 
 def test_symbol_outside_table():
@@ -222,9 +227,12 @@ def test_run_header_only_where_it_is_shorter():
     # 2 + 10 * 1 < 2 * n from n = 7 on
     assert pack_container([3] * 6, b"", 0)[:4] == b"PFX1"
     assert pack_container([3] * 7, b"", 0)[:4] == b"PFX2"
-    # floats equal to ints keep the per-symbol header, whose packing refuses them
-    with pytest.raises(ContainerFormatError, match="^cannot pack the container"):
-        pack_container([3.0] * 8, b"", 0)
+    # floats equal to ints keep the per-symbol header, whose packing refuses
+    # them, also where the run header would hold only ints: it packs each
+    # run's first length
+    for lengths in ([3.0] * 8, [3] * 7 + [3.0], [4] * 8 + [3, 3.0]):
+        with pytest.raises(ContainerFormatError, match="^cannot pack the container"):
+            pack_container(lengths, b"", 0)
 
 
 def test_presorted_round_trip_container_is_small():
@@ -428,7 +436,8 @@ def test_tables_and_containers_match_reference_recipe():
                 canonical_codes(lengths)
             continue
         t = canonical_codes(lengths)
-        assert (t.lengths, t.codes, t.first_codes, t.counts, t.symbols_by_rank) == expected
+        assert (t.lengths, reference_codes(t), t.first_codes, t.counts,
+                tuple(map(tuple, t.groups))) == expected
         message = [rng.randrange(n) for _ in range(50)]
         payload, bits = encode(message, t)
         assert pack_container(lengths.lengths, payload, bits) == \
@@ -529,23 +538,21 @@ def _example41_presorted_table(n):
 
 def test_read_path_builds_no_per_symbol_codewords():
     # a 256-symbol message over the 98 306 symbols of presorted
-    # example41-65536: neither side may derive the whole codeword table,
-    # and the read side derives no codeword at all
+    # example41-65536: the read side derives no codeword at all
     table = _example41_presorted_table(65536)
     rng = random.Random(41)
     message = [rng.randrange(len(table.lengths)) for _ in range(256)]
 
     def refuse(*args):
-        raise AssertionError("per-symbol codewords built")
+        raise AssertionError("codeword derived on the read side")
 
-    with mock.patch.object(CanonicalTable, "codes", property(refuse)):
-        payload, bits = encode(message, table)
-        blob = pack_container(table.lengths, payload, bits)
-        with mock.patch.object(CanonicalTable, "codeword_bits", refuse):
-            lengths, payload_in, bits_in = unpack_container(blob)
-            table_in = canonical_codes(CodeLengthProfile(tuple(lengths)))
-            assert table_in == table
-            assert decode(payload_in, bits_in, table_in) == message
+    payload, bits = encode(message, table)
+    blob = pack_container(table.lengths, payload, bits)
+    with mock.patch.object(CanonicalTable, "codeword_bits", refuse):
+        lengths, payload_in, bits_in = unpack_container(blob)
+        table_in = canonical_codes(CodeLengthProfile(tuple(lengths)))
+        assert table_in == table
+        assert decode(payload_in, bits_in, table_in) == message
     assert (payload, bits) == reference_encode(message, table)
 
 
@@ -693,7 +700,8 @@ def _assert_same_containers(lengths, payload, bits):
 def _contents(table):
     if not isinstance(table, CanonicalTable):
         return table  # the (type, message) of an error
-    return table.lengths, table.codes, table.first_codes, table.counts, table.symbols_by_rank
+    return (table.lengths, reference_codes(table), table.first_codes, table.counts,
+            tuple(map(tuple, table.groups)))
 
 
 @given(_run_profiles(), st.randoms(use_true_random=False))
@@ -713,6 +721,8 @@ def _contents(table):
 @example((3,) * 8, random.Random(0))           # the run header, complete
 @example((5,) * 12 + (2,) * 3, random.Random(0))  # the run header, Kraft sum below 1
 @example((4,) * 12 + (0,), random.Random(0))
+@example((3,) * 7 + (3.0,), random.Random(0))  # a float the run header would drop
+@example((4,) * 8 + (3, 3.0), random.Random(0))
 @example((65536,) * 8, random.Random(0))
 @example([True] * 8, random.Random(0))
 def test_run_path_matches_per_symbol_path(lengths, rng):

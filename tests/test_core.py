@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+import mrcode
 from mrcode import (CodeLengthProfile, ConstructionMode, InvalidAssignmentError, LevelState,
                     WeightItem, WeightList, assignment_from_lengths,
                     code_cost, construct_lengths, distinct_length_count,
@@ -34,8 +35,19 @@ def test_kraft_missing_leaf():
 
 
 def test_kraft_exact_fraction_fields():
-    p = profile(1, 2, 3)
-    assert (p.kraft_numerator, p.kraft_denominator) == (7, 8)
+    k = kraft_sum(profile(1, 2, 3))
+    assert (k.numerator, k.denominator) == (7, 8)
+
+
+def test_kraft_plain_sequence_obeys_the_profile_rules():
+    # a plain sequence is made a CodeLengthProfile first, so it fails as
+    # the profile would
+    with pytest.raises(ValueError, match="^empty length profile$"):
+        kraft_sum([])
+    with pytest.raises(TypeError, match="^codeword length 1.5 is not an integer$"):
+        kraft_sum([1.5, 1])
+    with pytest.raises(ValueError, match="^codeword lengths must be >= 1$"):
+        kraft_sum([2, 0])
 
 
 @given(st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=40))
@@ -416,3 +428,12 @@ def test_assignment_from_lengths_round_trip():
     rebuilt = assignment_from_lengths(w, profile(*lengths))
     assert {lv: sorted(items) for lv, items in rebuilt.levels.items()} == \
            {lv: sorted(items) for lv, items in state.levels.items()}
+
+
+def test_every_exported_name_resolves():
+    assert len(set(mrcode.__all__)) == len(mrcode.__all__)
+    missing = [name for name in mrcode.__all__ if not hasattr(mrcode, name)]
+    assert missing == []
+    # the exhaustive search serves only the tests and lives in their oracles
+    assert "brute_force_optimal" not in mrcode.__all__
+    assert not hasattr(mrcode, "brute_force_optimal")

@@ -3,10 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrcode import (ComparisonCounter, WeightList, brute_force_optimal,
-                    code_cost, huffman_lengths, huffman_sorted_lengths,
-                    kraft_sum, monotone)
-from oracles import WORKED_COST, WORKED_VALUES
+from mrcode import (ComparisonCounter, WeightList, code_cost, huffman_lengths,
+                    huffman_sorted_lengths, kraft_sum, monotone)
+from oracles import WORKED_COST, WORKED_VALUES, brute_force_optimal
 
 
 def test_greedy_worked_example_cost():
