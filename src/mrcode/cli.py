@@ -92,6 +92,7 @@ def cmd_lengths(args) -> int:
         print(f"comparisons={'' if comparisons is None else comparisons}", file=side)
         print(f"iterations={stats.iterations if stats else ''}", file=side)
         print(f"cache_hits={stats.cache_hits if stats else ''}", file=side)
+        print(f"cut_hits={stats.cut_hits if stats else ''}", file=side)
     return 0
 
 

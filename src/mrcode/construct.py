@@ -120,8 +120,8 @@ class _Levels(Store):
     mode selections reorder a run in place, keeping every range's
     weights.  `add` appends weights that rank above the level's leaves and
     `apply_move` hands a level, at its low end, weights that rank below
-    its leaves, so the query memo stays valid for the whole construction;
-    `construct_lengths` clears it on return.
+    its leaves, so the query memo and the rank cuts stay valid for the
+    whole construction; `construct_lengths` clears the memo on return.
     """
 
     __slots__ = ("runs",)
@@ -352,5 +352,6 @@ def construct_lengths(weights: WeightList,
     if iterations > 2 * k:
         raise AssertionError(
             f"{iterations} assignment iterations exceed twice the {k} distinct lengths")
-    stats = ConstructionStats(iterations, counter.count, k, tuple(trace), levels.hits)
+    stats = ConstructionStats(iterations, counter.count, k, tuple(trace), levels.hits,
+                              levels.cut_hits)
     return profile, stats

@@ -279,7 +279,8 @@ class ConstructionStats:
     fix-up) plus a final entry for the terminal power-of-two adjustment.
     ``cache_hits`` counts internal splitting queries answered from the
     construction's memo, which lasts the whole run; a hit makes no
-    comparison.
+    comparison.  ``cut_hits`` counts unsorted leaf selections answered
+    from rank cuts that earlier selections left, with no comparison.
     """
 
     iterations: int
@@ -287,6 +288,7 @@ class ConstructionStats:
     distinct_lengths: int
     trace: tuple[LevelTraceEntry, ...]
     cache_hits: int = 0
+    cut_hits: int = 0
 
 
 def kraft_sum(lengths: Sequence[int] | CodeLengthProfile) -> Fraction:

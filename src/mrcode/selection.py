@@ -4,7 +4,11 @@ select_rank is deterministic worst-case-linear selection (median-of-medians
 with 5-element groups, 6-comparison group medians).  Every value comparison
 it performs is counted.  It serves unsorted runs only: the split engine
 reads a presorted run's t-th smallest weight by position, without calling
-it.
+it.  The engine hands it only the piece of a run between the rank cuts
+that earlier selections left around the requested rank, and writes
+``smaller + [item] + larger`` back over that piece.  The piece is a rank
+range of its run, so the positions on both sides of the selected weight
+become rank boundaries of the run too: the new cuts.
 """
 
 from __future__ import annotations

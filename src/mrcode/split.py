@@ -20,10 +20,19 @@ level's leaves, and a Kraft move hands the next level, at its low end,
 weights that rank below its leaves.  So every boundary handed out stays a
 rank boundary of its run, later selections keep it, and every range keeps
 its weights; a range whose weights a move raises keys a new entry.
+
+The same argument keeps the store's rank cuts: the positions where an
+earlier unsorted selection left every weight of its run before the
+position ranking below every weight after it.  A cut stays a rank
+boundary of whichever run holds it, so a later selection need only
+partition the piece between the cuts around the rank it asks for.  Every
+selection still returns the same weight at the same position; only the
+order inside pieces not yet split differs, and with it the count.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import itemgetter
@@ -79,10 +88,14 @@ class Store:
     its level, to the result, for as long as the store lives (the module
     docstring says why the ranges keep their weights).  Cached slices
     point back at the store, so its owner clears the memo when done with
-    it.  ``hits`` counts the queries it answered.
+    it.  ``hits`` counts the queries it answered.  ``cuts`` is the sorted
+    list of positions that unsorted selections found to be rank boundaries
+    of their runs, which stay so for as long as the store lives (the
+    module docstring again); presorted stores never read it.
+    ``cut_hits`` counts selections that cuts answered with no comparison.
     """
 
-    __slots__ = ("arr", "vals", "psum", "memo", "hits")
+    __slots__ = ("arr", "vals", "psum", "memo", "hits", "cuts", "cut_hits")
 
     def __init__(self, arr: Sequence[WeightItem], vals: Sequence[int] | None):
         self.arr = arr
@@ -93,6 +106,8 @@ class Store:
                                         for i in range(0, len(vals), _BLOCK))]
         self.memo: dict[tuple, tuple] = {}
         self.hits = 0
+        self.cuts: list[int] = []
+        self.cut_hits = 0
 
     def prefix(self, j: int) -> int:
         """Total value of ``arr[:j]`` in a presorted store."""
@@ -228,17 +243,39 @@ def _leaf_select(store: Store, lo: int, hi: int, t: int, cnt) -> WeightItem:
     """The t-th smallest weight of ``arr[lo:hi]``, left at position
     ``lo + t - 1`` with the smaller ones before it and the larger after.
 
-    An unsorted window is rewritten in the order `select_rank` returns,
-    which keeps the weights before every earlier boundary inside the
-    window before it, so every range handed out keeps its weights.
+    An unsorted store selects only within the piece of the window between
+    the nearest known cuts around that position, and rewrites the piece
+    in the order `select_rank` returns, which keeps the weights before
+    every earlier boundary inside the piece before it, so every range
+    handed out keeps its weights.  It then records the cuts on both sides
+    of the weight; a piece of one weight is answered with no comparison.
+    The window is a rank range of its run, so the piece is too, and the
+    weight and its position are those a selection over the whole window
+    gives.
     """
     if not 1 <= t <= hi - lo:
         raise ValueError(f"rank {t} out of range 1..{hi - lo}")
     arr = store.arr
+    p = lo + t - 1
     if store.vals is not None or hi - lo == 1:
-        return arr[lo + t - 1]
-    item, lows, highs = select_rank(arr[lo:hi], t, cnt)
-    arr[lo:hi] = [*lows, item, *highs]
+        return arr[p]
+    cuts = store.cuts
+    # the nearest cuts at or below p and above it, clamped to the window;
+    # cuts[i:j] are those in [a, b], to be replaced
+    i = j = bisect_right(cuts, p)
+    a, b = lo, hi
+    if i and cuts[i - 1] >= lo:
+        i -= 1
+        a = cuts[i]
+    if j < len(cuts) and cuts[j] <= hi:
+        b = cuts[j]
+        j += 1
+    if b - a == 1:
+        store.cut_hits += 1
+        return arr[p]
+    item, lows, highs = select_rank(arr[a:b], p - a + 1, cnt)
+    arr[a:b] = [*lows, item, *highs]
+    cuts[i:j] = sorted({a, p, p + 1, b})
     return item
 
 

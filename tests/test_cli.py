@@ -43,6 +43,7 @@ def test_lengths_stats_side_channel(tmp_path, capsys):
     assert "k=3" in err and "iterations=3" in err
     _, stats = construct_lengths(WeightList.from_values(WORKED_VALUES))
     assert stats.cache_hits > 0 and f"cache_hits={stats.cache_hits}\n" in err
+    assert stats.cut_hits > 0 and f"cut_hits={stats.cut_hits}\n" in err
 
 
 @pytest.mark.parametrize("algo", ["detailed", "basic", "huffman", "two-queue"])

@@ -1,12 +1,14 @@
 import gc
 import hashlib
 import random
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrcode import (ComparisonCounter, ConstructionMode, LeafSlice, LevelState,
-                    WeightList, assignment_from_lengths, code_cost,
+                    WeightItem, WeightList, assignment_from_lengths, code_cost,
                     construct_lengths, distinct_length_count, huffman_lengths,
                     kraft_sum, monotone, node_count, verify_exclusion)
 from mrcode import construct, generators, split
@@ -225,8 +227,8 @@ def test_comparison_counting_toggle():
 
 
 @pytest.mark.parametrize("algo, presorted, expected", [
-    ("detailed", False, 399), ("detailed", True, 68),
-    ("basic", False, 336), ("basic", True, 55),
+    ("detailed", False, 201), ("detailed", True, 68),
+    ("basic", False, 212), ("basic", True, 55),
 ])
 def test_worked_example_comparison_counts(algo, presorted, expected):
     # exact counts: a change that lowers them updates these pins and
@@ -345,9 +347,9 @@ _IDENTITY_DIGEST = {
 }
 
 _IDENTITY_COMPARISONS = {
-    ("detailed", "unsorted"): 53581, ("detailed", "sorted"): 6711,
+    ("detailed", "unsorted"): 39171, ("detailed", "sorted"): 6711,
     ("detailed", "nonpositional"): 7199,
-    ("basic", "unsorted"): 47132, ("basic", "sorted"): 5280,
+    ("basic", "unsorted"): 38696, ("basic", "sorted"): 5280,
     ("basic", "nonpositional"): 5674,
 }
 
@@ -503,9 +505,9 @@ def test_no_store_outlives_its_construction():
 
 
 @pytest.mark.parametrize("label, algo, expected", [
-    pytest.param("fibonacci-92", "detailed", 9717, id="fibonacci-92-detailed"),
-    pytest.param("fibonacci-92", "basic", 9275, id="fibonacci-92-basic"),
-    pytest.param("exponential-62", "detailed", 4081, id="exponential-62-detailed"),
+    pytest.param("fibonacci-92", "detailed", 9583, id="fibonacci-92-detailed"),
+    pytest.param("fibonacci-92", "basic", 9230, id="fibonacci-92-basic"),
+    pytest.param("exponential-62", "detailed", 4080, id="exponential-62-detailed"),
     pytest.param("exponential-62", "basic", 3842, id="exponential-62-basic"),
 ])
 def test_high_k_inputs(label, algo, expected):
@@ -520,6 +522,77 @@ def test_high_k_inputs(label, algo, expected):
     assert stats.distinct_lengths == len(values) - 1
     assert stats.iterations <= 2 * stats.distinct_lengths
     assert stats.weight_comparisons == expected
+
+
+@pytest.mark.parametrize("family, n, algo, expected", [
+    ("two-cluster", 256, "detailed", 2877), ("two-cluster", 256, "basic", 6003),
+    ("geometric", 1024, "detailed", 45572), ("geometric", 1024, "basic", 51091),
+])
+def test_unsorted_family_counts(family, n, algo, expected):
+    # unsorted counts depend on the order selections leave inside a run's
+    # pieces.  The counts are exact; a change that lowers them updates
+    # these pins and records the old and new numbers in CHANGES.md
+    w = WeightList.from_values(generators.generate(family, n, 0))
+    _, stats = construct_lengths(w, ConstructionMode(algo))
+    assert stats.weight_comparisons == expected
+
+
+def _check_cuts(store):
+    """Every rank cut inside a level run splits the run into a lower and
+    an upper part in (value, index) order."""
+    arr, cuts = store.arr, store.cuts
+    assert cuts == sorted(set(cuts))
+    for lo, hi in store.runs.values():
+        inside = cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)]
+        if inside:
+            run = arr[lo:hi]
+            below = list(accumulate(run, max))  # below[i]: max of run[:i + 1]
+            above = list(accumulate(reversed(run), min))[::-1]  # min of run[i:]
+            for c in inside:
+                assert below[c - lo - 1] < above[c - lo], f"cut {c} in run {lo}..{hi}"
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_cuts_stay_rank_boundaries(data):
+    # a cut found by one selection must stay a rank boundary of whichever
+    # run holds it, across assignments and Kraft moves, under both drivers;
+    # the lists have heavy ties, from both constructors, the second with
+    # its indices shuffled
+    v_max = data.draw(st.sampled_from([2, 3, 6, 20]))
+    n = data.draw(st.integers(2, 200))
+    values = data.draw(st.lists(st.integers(1, v_max), min_size=n, max_size=n))
+    perm = data.draw(st.permutations(range(n)))
+    lists = (WeightList.from_values(values),
+             WeightList(tuple(map(WeightItem, values, perm))))
+    real = split._leaf_select
+
+    def checked(store, lo, hi, t, cnt):
+        item = real(store, lo, hi, t, cnt)
+        _check_cuts(store)
+        return item
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(split, "_leaf_select", checked)
+        for w in lists:
+            best = code_cost(w, huffman_lengths(w))
+            for mode in (DETAILED, BASIC):
+                profile, _ = construct_lengths(w, mode)
+                assert code_cost(w, profile) == best
+
+
+def test_repeat_construction_counts_alike():
+    # cuts live on the construction's store, never on the WeightList, so
+    # building the same list again gives the same profile and stats
+    for values in (WORKED_VALUES, generators.generate("geometric", 256, 0),
+                   generators.generate("two-cluster", 128, 1)):
+        w = WeightList.from_values(values)
+        shuffled = WeightList(tuple(random.Random(3).sample(w.items, len(w))))
+        for weights in (w, shuffled):
+            for mode in (DETAILED, BASIC):
+                first = construct_lengths(weights, mode)
+                assert first[1].cut_hits > 0
+                assert construct_lengths(weights, mode) == first
 
 
 def _assign_with_every_index(level, levels, pool):

@@ -395,3 +395,30 @@ def test_earlier_results_keep_their_weights():
             pool += [x for x in out if x.n]
             for x, ids in seen:
                 assert _indices(x) == ids
+
+
+def test_selection_between_known_cuts_makes_no_comparison():
+    # a selection leaves cuts on both sides of the weight it finds; a later
+    # query of that position, from any window that is a rank range, makes
+    # no comparison and leaves the list as it is
+    rng = random.Random(909)
+    items = [WeightItem(rng.randint(1, 3), i) for i in range(40)]
+    rng.shuffle(items)
+    ranked = sorted(items)
+    store = Store(list(items), None)
+    cnt = ComparisonCounter()
+    assert split._leaf_select(store, 0, 40, 20, cnt) == ranked[19]
+    assert split._leaf_select(store, 20, 40, 5, cnt) == ranked[24]
+    assert store.cuts == [0, 19, 20, 24, 25, 40]
+    arr, count = list(store.arr), cnt.count
+    for lo, hi, t in ((0, 40, 20), (0, 40, 25), (19, 25, 1), (20, 40, 5), (0, 20, 20)):
+        assert split._leaf_select(store, lo, hi, t, cnt) == ranked[lo + t - 1]
+    assert (cnt.count, store.arr, store.cut_hits) == (count, arr, 5)
+    assert store.cuts == [0, 19, 20, 24, 25, 40]
+    # a window of one weight is no selection; a piece between cuts is
+    # selected alone
+    assert split._leaf_select(store, 24, 25, 1, cnt) == ranked[24]
+    assert (cnt.count, store.cut_hits) == (count, 5)
+    assert split._leaf_select(store, 0, 40, 30, cnt) == ranked[29]
+    assert store.arr[:25] == arr[:25] and cnt.count > count
+    assert store.cuts == [0, 19, 20, 24, 25, 29, 30, 40]
