@@ -10,9 +10,7 @@ from .core import (CodeLengthProfile, ComparisonCounter, ConstructionStats,
                    distinct_length_count, kraft_sum, monotone,
                    verify_exclusion)
 from .selection import select_rank
-from .split import (LeafSlice, SplitResult, add_weights, cut,
-                    find_splitting_all, find_splitting_internal,
-                    find_t_largest, find_t_smallest, node_count)
+from .split import LeafSlice, node_count
 from .construct import ConstructionMode, construct_lengths
 from .oracle import huffman_lengths, huffman_sorted_lengths
 from .codec import (CanonicalTable, ContainerFormatError, DecodeError,
@@ -25,12 +23,10 @@ __all__ = [
     "CanonicalTable", "CodeLengthProfile", "ComparisonCounter",
     "ConstructionMode", "ConstructionStats", "ContainerFormatError",
     "DecodeError", "InvalidAssignmentError", "LeafSlice", "LevelState",
-    "LevelTraceEntry", "SplitResult", "WeightItem", "WeightList",
-    "add_weights", "assignment_from_lengths", "canonical_codes",
-    "code_cost", "construct_lengths", "cut", "decode",
-    "distinct_length_count", "encode",
-    "find_splitting_all", "find_splitting_internal", "find_t_largest",
-    "find_t_smallest", "huffman_lengths", "huffman_sorted_lengths",
-    "kraft_sum", "monotone", "node_count",
-    "pack_container", "select_rank", "unpack_container", "verify_exclusion",
+    "LevelTraceEntry", "WeightItem", "WeightList",
+    "assignment_from_lengths", "canonical_codes", "code_cost",
+    "construct_lengths", "decode", "distinct_length_count", "encode",
+    "huffman_lengths", "huffman_sorted_lengths", "kraft_sum", "monotone",
+    "node_count", "pack_container", "select_rank", "unpack_container",
+    "verify_exclusion",
 ]

@@ -7,9 +7,6 @@ import random
 from .core import WeightList
 from .construct import ConstructionMode, construct_lengths
 
-FAMILIES = ("example41", "equal", "exponential", "uniform", "geometric",
-            "two-cluster")
-
 MAX_UNIFORM = 10**9
 
 
@@ -100,6 +97,7 @@ _GENERATORS = {
     "geometric": geometric,
     "two-cluster": two_cluster,
 }
+FAMILIES = tuple(_GENERATORS)
 
 
 def generate(family: str, n: int, seed: int = 0) -> list[int]:

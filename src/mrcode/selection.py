@@ -50,8 +50,6 @@ def _pivot(items: list, cnt: ComparisonCounter):
                                 items[i + 3], items[i + 4], cnt))
     if n % 5:
         medians.append(_small_median(items[n - n % 5:], cnt))
-    if len(medians) == 1:
-        return medians[0]
     return _select(medians, (len(medians) + 1) // 2, cnt)[0]
 
 

@@ -3,8 +3,12 @@
 Nodes at a context level are the leaves assigned to that level plus the
 internal nodes implied by sorted pairing of everything below; this module
 locates the weighted-by-multiplicity median node (the "splitting node"),
-or the t-th smallest/largest node, while evaluating only the handful of
-internal nodes the pruning actually touches.
+or splits off the t smallest nodes, while evaluating only the handful of
+internal nodes the pruning actually touches.  The three queries are
+`_fsa` (the splitting node among all nodes at a level), `_fsi` (among
+the internal nodes) and `_rank_split` (the t smallest nodes and the
+rest); the construction calls them directly.  The package exports
+`LeafSlice` and `node_count` from here.
 
 All weights of a construction live in one list, and each level holds one
 run of it.  The leaves that a run of consecutive-rank nodes holds at one
@@ -33,7 +37,6 @@ order inside pieces not yet split differs, and with it the count.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -175,24 +178,6 @@ class LeafSlice:
         if type(arr) is Positions:  # every index is its position
             return min(lo for lo, _ in self.runs.values())
         return min(min(map(_index, arr[lo:hi])) for lo, hi in self.runs.values())
-
-    def __len__(self) -> int:
-        return self.n
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    """Outcome of a splitting query at some context level.
-
-    ``pos`` is the 1-based rank of the splitting node among the nodes it
-    was selected from; ``chi_weights`` are the weights contributing to it;
-    ``lower``/``upper`` hold the weights of the smaller-/larger-rank nodes.
-    """
-
-    pos: int
-    chi_weights: tuple[WeightItem, ...]
-    lower: LeafSlice
-    upper: LeafSlice
 
 
 def _range(store: Store, level: int, lo: int, hi: int) -> LeafSlice:
@@ -497,52 +482,3 @@ def _rank_split(level: int, sl: LeafSlice, t: int, cnt: ComparisonCounter,
         raise ValueError(f"rank {t} out of range 1..{total}")
     _, _, first, rest = _locate(level, sl, t, total, cnt)
     return first, rest
-
-
-# ---------------------------------------------------------------- public API
-
-def add_weights(weights: Iterable[WeightItem] | LeafSlice) -> int:
-    """Exact value of the node made of these weights (0 for none)."""
-    if isinstance(weights, LeafSlice):
-        return weights.total_value()
-    return sum(it[0] for it in weights)
-
-
-def cut(level: int, sl: LeafSlice) -> tuple[list[WeightItem], LeafSlice]:
-    """Split a slice into (leaves at `level`, everything strictly below)."""
-    below = _below(sl, level)  # raises if anything sits above `level`
-    return sl.level_items(level), below
-
-
-def find_splitting_all(level: int, sl: LeafSlice,
-                       counter: ComparisonCounter | None = None) -> SplitResult:
-    """Splitting node among all nodes (leaves and internals) at `level`."""
-    pos, chi, lower, upper = _fsa(level, sl, counter or ComparisonCounter())
-    return SplitResult(pos, tuple(sorted(chi.all_items(), key=lambda it: it[1])),
-                       lower, upper)
-
-
-def find_splitting_internal(level: int, sl: LeafSlice,
-                            counter: ComparisonCounter | None = None) -> SplitResult:
-    """Splitting node of the internal nodes at `level`; `sl` holds their leaves."""
-    pos, chi, lower, upper = _fsi(level, sl, counter or ComparisonCounter())
-    return SplitResult(pos, tuple(sorted(chi.all_items(), key=lambda it: it[1])),
-                       lower, upper)
-
-
-def find_t_smallest(t: int, level: int, sl: LeafSlice,
-                    counter: ComparisonCounter | None = None) -> tuple[LeafSlice, LeafSlice]:
-    """Weights of the t smallest-rank nodes at `level`, and the remainder."""
-    total = node_count(level, sl)
-    if not 1 <= t <= total:
-        raise ValueError(f"t={t} out of range 1..{total}")
-    return _rank_split(level, sl, t, counter or ComparisonCounter())
-
-
-def find_t_largest(t: int, level: int, sl: LeafSlice,
-                   counter: ComparisonCounter | None = None) -> tuple[LeafSlice, LeafSlice]:
-    """The remainder, and the weights of the t largest-rank nodes at `level`."""
-    total = node_count(level, sl)
-    if not 1 <= t <= total:
-        raise ValueError(f"t={t} out of range 1..{total}")
-    return _rank_split(level, sl, total - t, counter or ComparisonCounter())

@@ -12,13 +12,11 @@ import time
 
 import pytest
 
-from mrcode import (ConstructionMode, LeafSlice, WeightList,
-                    assignment_from_lengths, canonical_codes,
+from mrcode import (ComparisonCounter, ConstructionMode, LeafSlice,
+                    WeightList, assignment_from_lengths, canonical_codes,
                     code_cost, construct_lengths, decode, encode,
-                    find_splitting_all, find_splitting_internal, find_t_largest,
-                    find_t_smallest, huffman_lengths, kraft_sum, monotone,
-                    verify_exclusion)
-from mrcode import generators
+                    huffman_lengths, kraft_sum, monotone, verify_exclusion)
+from mrcode import generators, split
 from mrcode.core import MAX_WEIGHT
 from oracles import (WORKED_COST, WORKED_LENGTH_COUNTS, WORKED_VALUES,
                      brute_force_optimal, materialize, random_level_state,
@@ -217,6 +215,7 @@ def test_unsorted_time_scaling_smoke():
 
 def test_split_engine_matches_materialization():
     rng = random.Random(0xC8)
+    cnt = ComparisonCounter()
     t0 = time.perf_counter()
     done = 0
     while done < 1000:
@@ -232,17 +231,17 @@ def test_split_engine_matches_materialization():
 
         nodes = materialize(state, top)
         pos = splitting_rank_all(state, top, nodes)
-        r = find_splitting_all(top, sl)
-        assert r.pos == pos
-        assert sorted(r.chi_weights) == sorted(nodes[pos - 1][2])
-        assert sorted(r.lower.all_items()) == sorted(
+        p, chi, lower, _ = split._fsa(top, sl, cnt)
+        assert p == pos
+        assert sorted(chi.all_items()) == sorted(nodes[pos - 1][2])
+        assert sorted(lower.all_items()) == sorted(
             it for nd in nodes[:pos - 1] for it in nd[2])
 
         t = rng.randint(1, len(nodes))
-        first, _ = find_t_smallest(t, top, sl)
+        first, _ = split._rank_split(top, sl, t, cnt)
         assert sorted(first.all_items()) == sorted(
             it for nd in nodes[:t] for it in nd[2])
-        _, largest = find_t_largest(t, top, sl)
+        _, largest = split._rank_split(top, sl, len(nodes) - t, cnt)
         assert sorted(largest.all_items()) == sorted(
             it for nd in nodes[len(nodes) - t:] for it in nd[2])
 
@@ -254,9 +253,9 @@ def test_split_engine_matches_materialization():
             block = -(-alpha // span)
             blocks = [top_nodes[i:i + span]
                       for i in range(0, len(top_nodes), span)]
-            ri = find_splitting_internal(top + extra, sl)
-            assert ri.pos == block
-            assert sorted(ri.chi_weights) == sorted(
+            pi, chi_i, _, _ = split._fsi(top + extra, sl, cnt)
+            assert pi == block
+            assert sorted(chi_i.all_items()) == sorted(
                 it for nd in blocks[block - 1] for it in nd[2])
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"took {elapsed:.1f}s"

@@ -3,6 +3,7 @@ import random
 import re
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -437,3 +438,16 @@ def test_every_exported_name_resolves():
     # the exhaustive search serves only the tests and lives in their oracles
     assert "brute_force_optimal" not in mrcode.__all__
     assert not hasattr(mrcode, "brute_force_optimal")
+    # the splitting queries have one name each, in the split module
+    for name in ("SplitResult", "find_splitting_all", "find_splitting_internal",
+                 "find_t_smallest", "find_t_largest", "add_weights", "cut"):
+        assert name not in mrcode.__all__
+        assert not hasattr(mrcode, name)
+        assert not hasattr(mrcode.split, name)
+
+
+def test_readme_library_example_runs():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text[text.index("\n## Library\n"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

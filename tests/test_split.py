@@ -4,9 +4,7 @@ from itertools import accumulate
 import pytest
 
 from mrcode import (ComparisonCounter, InvalidAssignmentError, LeafSlice,
-                    WeightItem, WeightList, add_weights, cut,
-                    find_splitting_all, find_splitting_internal,
-                    find_t_largest, find_t_smallest, node_count)
+                    WeightItem, WeightList, node_count)
 from mrcode import split
 from mrcode.core import MAX_WEIGHT
 from mrcode.split import Store
@@ -30,26 +28,23 @@ def worked_mid_state():
     }
 
 
-def test_add_weights():
-    assert add_weights([WeightItem(3, 0), WeightItem(3, 1)]) == 6
-    assert add_weights([]) == 0
-    assert add_weights([WeightItem(2, 0), WeightItem(2, 1)]) == 4
-
-
 def test_cut():
     state = worked_mid_state()
-    leaves, below = cut(2, slice_of(state))
+    sl = slice_of(state)
+    leaves, below = sl.level_items(2), split._below(sl, 2)
     assert sorted(it.value for it in leaves) == [9] * 5
     assert below.n == 25
-    leaves0, below0 = cut(0, LeafSlice.from_levels({0: state[0]}))
+    sl0 = LeafSlice.from_levels({0: state[0]})
+    leaves0, below0 = sl0.level_items(0), split._below(sl0, 0)
     assert len(leaves0) == 18 and below0.n == 0
-    empty_leaves, empty_below = cut(3, LeafSlice.from_levels({}))
+    empty = LeafSlice.from_levels({})
+    empty_leaves, empty_below = empty.level_items(3), split._below(empty, 3)
     assert empty_leaves == [] and empty_below.n == 0
 
 
 def test_cut_rejects_weights_above_level():
     with pytest.raises(InvalidAssignmentError):
-        cut(1, slice_of(worked_mid_state()))
+        split._below(slice_of(worked_mid_state()), 1)
 
 
 def test_node_count_folds():
@@ -66,11 +61,12 @@ def test_node_count_divisibility_error():
 
 def test_base_case_tie_break():
     items = [WeightItem(2, i) for i in range(3)]
-    r = find_splitting_all(0, LeafSlice.from_levels({0: items}))
-    assert r.pos == 2
-    assert r.chi_weights == (WeightItem(2, 1),)
-    assert r.lower.all_items() == [WeightItem(2, 0)]
-    assert r.upper.all_items() == [WeightItem(2, 2)]
+    pos, chi, lower, upper = split._fsa(0, LeafSlice.from_levels({0: items}),
+                                        ComparisonCounter())
+    assert pos == 2
+    assert chi.all_items() == [WeightItem(2, 1)]
+    assert lower.all_items() == [WeightItem(2, 0)]
+    assert upper.all_items() == [WeightItem(2, 2)]
 
 
 def test_splitting_illustration_all_nodes():
@@ -79,11 +75,12 @@ def test_splitting_illustration_all_nodes():
     # with 21 weights on each side
     state = split_fixture_state()
     for presorted in (False, True):
-        r = find_splitting_all(2, slice_of(state, presorted))
-        assert [it.value for it in r.chi_weights] == [10]
-        assert r.lower.n == 21
-        assert r.upper.n == 21
-        assert r.pos == 8
+        pos, chi, lower, upper = split._fsa(2, slice_of(state, presorted),
+                                            ComparisonCounter())
+        assert [it.value for it in chi.all_items()] == [10]
+        assert lower.n == 21
+        assert upper.n == 21
+        assert pos == 8
 
 
 def test_splitting_illustration_internal_nodes():
@@ -92,12 +89,13 @@ def test_splitting_illustration_internal_nodes():
     state = split_fixture_state()
     below = {0: state[0], 1: state[1]}
     for presorted in (False, True):
-        r = find_splitting_internal(2, slice_of(below, presorted))
-        assert add_weights(r.chi_weights) == 8
-        assert len(r.chi_weights) == 3
-        assert r.lower.n == 16
-        assert r.upper.n == 18
-        assert r.pos == 5
+        pos, chi, lower, upper = split._fsi(2, slice_of(below, presorted),
+                                            ComparisonCounter())
+        assert chi.total_value() == 8
+        assert chi.n == 3
+        assert lower.n == 16
+        assert upper.n == 18
+        assert pos == 5
 
 
 def test_span_two_odd_rank_pairs_with_successor():
@@ -105,10 +103,10 @@ def test_span_two_odd_rank_pairs_with_successor():
     # internal node pairs the lower splitting node with its successor
     items = [WeightItem(v, i) for i, v in enumerate([1, 2, 3, 4])]
     sl = LeafSlice.from_levels({0: items})
-    r = find_splitting_internal(1, sl)
-    assert r.pos == 1
-    assert sorted(it.value for it in r.chi_weights) == [1, 2]
-    assert sorted(it.value for it in r.upper.all_items()) == [3, 4]
+    pos, chi, _, upper = split._fsi(1, sl, ComparisonCounter())
+    assert pos == 1
+    assert sorted(it.value for it in chi.all_items()) == [1, 2]
+    assert sorted(it.value for it in upper.all_items()) == [3, 4]
 
 
 def test_parity_fix_targets_largest_pair():
@@ -116,7 +114,8 @@ def test_parity_fix_targets_largest_pair():
     # node is an internal 6 built from the last two 3s
     w = WeightList.from_values(WORKED_VALUES).items
     state = {0: list(w[0:20]), 1: list(w[20:25])}
-    rest, moved = find_t_largest(1, 1, slice_of(state))
+    sl = slice_of(state)
+    rest, moved = split._rank_split(1, sl, node_count(1, sl) - 1, ComparisonCounter())
     assert sorted(it.value for it in moved.all_items()) == [3, 3]
     assert sorted(it.index for it in moved.all_items()) == [18, 19]
     assert rest.n == 23
@@ -126,7 +125,8 @@ def test_terminal_move_grabs_three_internal_nodes():
     # from the pre-terminal state the three largest level-2 nodes are the
     # internals 12, 12 and 10: eight 3s and two 5s
     state = worked_mid_state()
-    rest, moved = find_t_largest(3, 2, slice_of(state))
+    sl = slice_of(state)
+    rest, moved = split._rank_split(2, sl, node_count(2, sl) - 3, ComparisonCounter())
     values = sorted(it.value for it in moved.all_items())
     assert values == [3] * 8 + [5] * 2
     assert rest.n == 20
@@ -135,12 +135,11 @@ def test_terminal_move_grabs_three_internal_nodes():
 def test_t_edges():
     state = worked_mid_state()
     sl = slice_of(state)
-    everything, nothing = find_t_smallest(13, 2, sl)
+    cnt = ComparisonCounter()
+    everything, nothing = split._rank_split(2, sl, 13, cnt)
     assert everything.n == 30 and nothing.n == 0
     with pytest.raises(ValueError):
-        find_t_smallest(14, 2, sl)
-    with pytest.raises(ValueError):
-        find_t_smallest(0, 2, sl)
+        split._rank_split(2, sl, 14, cnt)
 
 
 def _check_state_against_oracle(state):
@@ -150,30 +149,31 @@ def _check_state_against_oracle(state):
     for extra in (1, 2):
         if len(top_nodes) % (1 << extra) == 0:
             contexts.append(top + extra)
+    cnt = ComparisonCounter()
     for presorted in (False, True):
         sl = slice_of(state, presorted)
         for context in contexts:
             nodes = materialize(state, context)
             if context == top:
                 pos = splitting_rank_all(state, context, nodes)
-                r = find_splitting_all(context, sl)
-                assert r.pos == pos
-                assert list(r.chi_weights) == sorted(nodes[pos - 1][2],
-                                                     key=lambda it: it.index)
-                assert sorted(r.lower.all_items()) == \
+                p, chi, lower, upper = split._fsa(context, sl, cnt)
+                assert p == pos
+                assert sorted(chi.all_items(), key=lambda it: it.index) == \
+                    sorted(nodes[pos - 1][2], key=lambda it: it.index)
+                assert sorted(lower.all_items()) == \
                     sorted(it for nd in nodes[:pos - 1] for it in nd[2])
-                assert sorted(r.upper.all_items()) == \
+                assert sorted(upper.all_items()) == \
                     sorted(it for nd in nodes[pos:] for it in nd[2])
                 # conservation
-                assert r.lower.n + len(r.chi_weights) + r.upper.n == sl.n
+                assert lower.n + chi.n + upper.n == sl.n
             # every rank reaches each exit of the rank split at some t
             for t in range(1, len(nodes) + 1):
-                first, rest = find_t_smallest(t, context, sl)
+                first, rest = split._rank_split(context, sl, t, cnt)
                 assert sorted(first.all_items()) == \
                     sorted(it for nd in nodes[:t] for it in nd[2])
                 assert sorted(rest.all_items()) == \
                     sorted(it for nd in nodes[t:] for it in nd[2])
-                rest2, largest = find_t_largest(t, context, sl)
+                rest2, largest = split._rank_split(context, sl, len(nodes) - t, cnt)
                 assert sorted(largest.all_items()) == \
                     sorted(it for nd in nodes[len(nodes) - t:] for it in nd[2])
                 assert rest2.n + largest.n == sl.n
@@ -211,11 +211,12 @@ def test_internal_split_matches_block_of_lower_split():
             block = -(-alpha // span)
             blocks = [nodes[i:i + span] for i in range(0, len(nodes), span)]
             for presorted in (False, True):
-                r = find_splitting_internal(context, slice_of(state, presorted))
-                assert r.pos == block
-                assert sorted(r.chi_weights) == \
+                pos, chi, lower, _ = split._fsi(context, slice_of(state, presorted),
+                                                ComparisonCounter())
+                assert pos == block
+                assert sorted(chi.all_items()) == \
                     sorted(it for nd in blocks[block - 1] for it in nd[2])
-                assert sorted(r.lower.all_items()) == \
+                assert sorted(lower.all_items()) == \
                     sorted(it for b in blocks[:block - 1] for nd in b for it in nd[2])
 
 
@@ -231,9 +232,9 @@ def test_rank_consistency_of_flanks():
         done += 1
         top = max(state)
         nodes = materialize(state, top)
-        r = find_splitting_all(top, slice_of(state))
-        chi_key = (add_weights(r.chi_weights), min(it.index for it in r.chi_weights))
-        lower_set = set(r.lower.all_items())
+        _, chi, lower, _ = split._fsa(top, slice_of(state), ComparisonCounter())
+        chi_key = (chi.total_value(), min(it.index for it in chi.all_items()))
+        lower_set = set(lower.all_items())
         for nd in nodes:
             nd_key = nd[:2]
             if set(nd[2]) <= lower_set:
@@ -253,7 +254,7 @@ def test_work_bound_scales_with_depth_and_size():
         done += 1
         depth = len(state)
         cnt = ComparisonCounter()
-        find_splitting_all(max(state), slice_of(state), counter=cnt)
+        split._fsa(max(state), slice_of(state), cnt)
         total = sum(len(v) for v in state.values())
         assert cnt.count <= 32 * (4 ** depth) * total
 
@@ -288,7 +289,7 @@ def test_presorted_range_sums():
                 runs[lv] = (lo, rng.randint(lo + 1, b))
             sl = LeafSlice(store, runs, sum(hi - lo for lo, hi in runs.values()))
             assert sl.total_value() == sum(ref[hi] - ref[lo] for lo, hi in runs.values())
-            assert sl.total_value() == add_weights(sl.all_items())
+            assert sl.total_value() == sum(it.value for it in sl.all_items())
 
 
 def test_positional_min_index_equals_scan():
@@ -324,12 +325,7 @@ def test_presorted_slices_validate_order():
 def test_internal_split_needs_strictly_lower_weights():
     sl = slice_of(worked_mid_state())
     with pytest.raises(InvalidAssignmentError):
-        find_splitting_internal(2, sl)  # holds leaves at level 2 itself
-
-
-def test_add_weights_accepts_slices():
-    sl = LeafSlice.from_levels({0: [WeightItem(3, 0), WeightItem(4, 1)]})
-    assert add_weights(sl) == 7
+        split._fsi(2, sl, ComparisonCounter())  # holds leaves at level 2 itself
 
 
 def _indices(sl):
@@ -372,24 +368,24 @@ def test_earlier_results_keep_their_weights():
         sl = slice_of(state)
         seen = []
         pool = [sl]  # slices of whole nodes at `top` to query next
+        cnt = ComparisonCounter()
         for _ in range(10):
             target = rng.choice(pool)
             total = node_count(top, target)
             kind = rng.randrange(4)
             if kind == 0:
-                r = find_splitting_all(top, target)
+                pos, _, lower, upper = split._fsa(top, target, cnt)
                 nodes = materialize(_levels_of(target), top)
-                assert r.pos == splitting_rank_all(_levels_of(target), top, nodes)
-                out = [r.lower, r.upper]
+                assert pos == splitting_rank_all(_levels_of(target), top, nodes)
+                out = [lower, upper]
             elif kind == 1 and total % 2 == 0:
-                r = find_splitting_internal(top + 1, target)
-                out = [r.lower, r.upper]
+                _, _, lower, upper = split._fsi(top + 1, target, cnt)
+                out = [lower, upper]
             else:
                 t = rng.randint(1, total)
-                query = find_t_smallest if kind == 2 else find_t_largest
-                out = list(query(t, top, target))
-                nodes = materialize(_levels_of(target), top)
                 cut_at = t if kind == 2 else total - t
+                out = list(split._rank_split(top, target, cut_at, cnt))
+                nodes = materialize(_levels_of(target), top)
                 assert _indices(out[0]) == {it.index for nd in nodes[:cut_at] for it in nd[2]}
             seen += [(x, _indices(x)) for x in out]
             pool += [x for x in out if x.n]
