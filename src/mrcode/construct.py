@@ -116,9 +116,11 @@ class _Levels(Store):
     ascend with the level and tile ``arr[:pool.cur]``, so each run is one
     distinct codeword length.  In presorted mode the list never changes:
     the weights of each level are a run of the sorted input, and a range
-    sums from the store's block totals of the pool's values.  In unsorted
-    mode selections reorder a run in place, keeping every range's
-    weights.  `add` appends weights that rank above the level's leaves and
+    sums from the block totals that the input `WeightList` keeps.  In
+    unsorted mode selections reorder a run in place, keeping every
+    range's weights.  ``runs`` is a dict in ascending level, and `slice`
+    hands it out as the split engine's tuple of ``(level, lo, hi)``.
+    `add` appends weights that rank above the level's leaves and
     `apply_move` hands a level, at its low end, weights that rank below
     its leaves, so the query memo and the rank cuts stay valid for the
     whole construction; `construct_lengths` clears the memo on return.
@@ -126,8 +128,8 @@ class _Levels(Store):
 
     __slots__ = ("runs",)
 
-    def __init__(self, pool: PendingPool):
-        super().__init__(pool.arr, pool.vals)
+    def __init__(self, pool: PendingPool, psum: Sequence[int] | None):
+        super().__init__(pool.arr, pool.vals, psum)
         self.runs: dict[int, tuple[int, int]] = {}
 
     def top(self) -> int:
@@ -145,7 +147,8 @@ class _Levels(Store):
 
     def slice(self) -> LeafSlice:
         runs = self.runs
-        return LeafSlice(self, dict(runs), runs[self.top()][1])
+        return LeafSlice(self, tuple((lv, lo, hi) for lv, (lo, hi) in runs.items()),
+                         runs[self.top()][1])
 
     def snapshot(self) -> dict[int, tuple[WeightItem, ...]]:
         arr = self.arr
@@ -159,8 +162,7 @@ class _Levels(Store):
         cut between the two runs moves.
         """
         runs = self.runs
-        for lv in sorted(moved.runs, reverse=True):
-            cut, end = moved.runs[lv]
+        for lv, cut, end in reversed(moved.runs):
             lo, hi = runs.pop(lv)
             if end != hi:
                 raise AssertionError(f"moved weights do not end the run of level {lv}")
@@ -292,13 +294,14 @@ def construct_lengths(weights: WeightList,
 
     if not weights.sorted_flag:
         pool = PendingPool(weights.items, None, counter)
+        levels = _Levels(pool, None)
     else:
-        # a presorted construction reads values; a positional list makes
-        # its few items on read
+        # a presorted construction reads values and the list's block
+        # totals; a positional list makes its few items on read
         vals = weights._vals
         pool = PendingPool(Positions(vals) if weights.positional else weights.items,
                            vals, counter)
-    levels = _Levels(pool)
+        levels = _Levels(pool, weights._psum)
     trace = [LevelTraceEntry(0, _assign_level0(levels, pool), 0)]
     if iteration_hook:
         iteration_hook(levels.snapshot())

@@ -12,10 +12,15 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count, islice, repeat
+from functools import cached_property
+from itertools import accumulate, chain, count, islice, repeat
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 MAX_WEIGHT = 2**63 - 1
+
+# Positions per running total of a presorted list; 64, 128 and 256 timed
+# alike on 6 146 to 98 306 weights
+_BLOCK = 128
 
 
 class InvalidAssignmentError(ValueError):
@@ -62,6 +67,12 @@ def _as_int(x, what: str) -> int:
         return operator.index(x)
     except TypeError:
         raise TypeError(f"{what} {x!r} is not an integer") from None
+
+
+def _block_totals(vals: Sequence[int]) -> tuple[int, ...]:
+    """One running total every `_BLOCK` positions: item b is the total of
+    ``vals[:b * _BLOCK]``, by one C-level sum of ints per block."""
+    return (0, *accumulate(sum(vals[i:i + _BLOCK]) for i in range(0, len(vals), _BLOCK)))
 
 
 def _check_items(items: Iterable[tuple]) -> set[int]:
@@ -120,7 +131,10 @@ class WeightList:
     position as a tuple of ints (``_vals``), which a presorted
     construction reads, and its own ``items`` of ints, made at once or,
     for a presorted list from `from_values`, on first read.  ``items``
-    alone enters equality, hashing and ``repr``.
+    alone enters equality, hashing and ``repr``.  A presorted list also
+    keeps the block totals of its values (``_psum``, see `_block_totals`),
+    made on its first presorted construction, so that later constructions
+    of the same list read them instead of summing the whole list again.
     """
 
     items: tuple[WeightItem, ...]
@@ -176,6 +190,10 @@ class WeightList:
 
     def __len__(self) -> int:
         return len(self._vals)
+
+    @cached_property
+    def _psum(self) -> tuple[int, ...]:
+        return _block_totals(self._vals)
 
     def values(self) -> list[int]:
         return list(self._vals)

@@ -12,16 +12,18 @@ rest); the construction calls them directly.  The package exports
 
 All weights of a construction live in one list, and each level holds one
 run of it.  The leaves that a run of consecutive-rank nodes holds at one
-level are leaves of consecutive rank, so a slice is one range per level.
-That takes every range handed out to hold exactly the weights of its rank
+level are leaves of consecutive rank, so a slice is one range per level,
+held as a flat tuple of ``(level, lo, hi)`` in ascending level: its top
+level is the last triple, and the tuple is hashable as it stands.  That
+takes every range handed out to hold exactly the weights of its rank
 range: presorted runs are sorted, and an unsorted selection partitions its
 window in place without moving a weight across any earlier range boundary.
 Internal splitting queries are memoized on the list's `Store` for the
-whole construction, keyed by the context level and the slice's ranges,
-each with its level.  A construction changes its runs only at their ends
-and in rank order: an assignment appends weights that rank above the
-level's leaves, and a Kraft move hands the next level, at its low end,
-weights that rank below its leaves.  So every boundary handed out stays a
+whole construction, keyed by the context level and the slice's tuple of
+ranges.  A construction changes its runs only at their ends and in rank
+order: an assignment appends weights that rank above the level's leaves,
+and a Kraft move hands the next level, at its low end, weights that rank
+below its leaves.  So every boundary handed out stays a
 rank boundary of its run, later selections keep it, and every range keeps
 its weights; a range whose weights a move raises keys a new entry.
 
@@ -37,20 +39,15 @@ order inside pieces not yet split differs, and with it the count.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .core import ComparisonCounter, InvalidAssignmentError, WeightItem
+from .core import _BLOCK, ComparisonCounter, InvalidAssignmentError, WeightItem
 from .selection import select_rank
 
 _value = itemgetter(0)
 _index = itemgetter(1)
-
-
-# Positions per running total of a presorted store; 64, 128 and 256 timed
-# alike on 6 146 to 98 306 weights
-_BLOCK = 128
 
 
 class Positions:
@@ -81,32 +78,32 @@ class Store:
     A presorted store's weights are in (value, index) order and never
     written: ``arr`` is the input's tuple of items, or a `Positions` view
     of its values when every index is its position, and ``vals`` holds
-    the values by position as ints.  ``psum`` holds one running total
-    every `_BLOCK` positions, made on each construction: ``psum[b]`` is
-    the total of ``vals[:b * _BLOCK]``.  Building them is one C-level sum
-    of ints per block, and a prefix total adds at most ``_BLOCK - 1``
-    values to one of them (`prefix`).  An unsorted store has ``vals`` and
-    ``psum`` None, and ``vals is not None`` is the test for presorted.
-    ``memo`` maps the level of a `_fsi` query and its ranges, each with
-    its level, to the result, for as long as the store lives (the module
-    docstring says why the ranges keep their weights).  Cached slices
-    point back at the store, so its owner clears the memo when done with
-    it.  ``hits`` counts the queries it answered.  ``cuts`` is the sorted
-    list of positions that unsorted selections found to be rank boundaries
-    of their runs, which stay so for as long as the store lives (the
-    module docstring again); presorted stores never read it.
-    ``cut_hits`` counts selections that cuts answered with no comparison.
+    the values by position as ints.  ``psum`` is the list's block totals,
+    one running total every `_BLOCK` positions (``psum[b]`` is the total
+    of ``vals[:b * _BLOCK]``), which the store takes from its
+    `WeightList` and never builds: the list makes them on its first
+    presorted construction and keeps them for the next.  A prefix total
+    adds at most ``_BLOCK - 1`` values to one of them (`prefix`).  An
+    unsorted store has ``vals`` and ``psum`` None, and ``vals is not
+    None`` is the test for presorted.  ``memo`` maps the level of a `_fsi`
+    query and its slice's tuple of ranges to the result, for as long as
+    the store lives (the module docstring says why the ranges keep their
+    weights).  Cached slices point back at the store, so its owner clears
+    the memo when done with it.  ``hits`` counts the queries it answered.
+    ``cuts`` is the sorted list of positions that unsorted selections
+    found to be rank boundaries of their runs, which stay so for as long
+    as the store lives (the module docstring again); presorted stores
+    never read it.  ``cut_hits`` counts selections that cuts answered with
+    no comparison.
     """
 
     __slots__ = ("arr", "vals", "psum", "memo", "hits", "cuts", "cut_hits")
 
-    def __init__(self, arr: Sequence[WeightItem], vals: Sequence[int] | None):
+    def __init__(self, arr: Sequence[WeightItem], vals: Sequence[int] | None,
+                 psum: Sequence[int] | None = None):
         self.arr = arr
         self.vals = vals
-        self.psum = None
-        if vals is not None:
-            self.psum = [0, *accumulate(sum(vals[i:i + _BLOCK])
-                                        for i in range(0, len(vals), _BLOCK))]
+        self.psum = psum
         self.memo: dict[tuple, tuple] = {}
         self.hits = 0
         self.cuts: list[int] = []
@@ -120,51 +117,28 @@ class Store:
 
 class LeafSlice:
     """Weights of consecutive-rank nodes: ``store.arr[lo:hi]`` for each
-    ``runs[level] = (lo, hi)``, one non-empty range per level."""
+    ``(level, lo, hi)`` of ``runs``, a tuple of non-empty ranges, one per
+    level, in ascending level."""
 
     __slots__ = ("store", "runs", "n")
 
-    def __init__(self, store: Store, runs: dict[int, tuple[int, int]], n: int):
+    def __init__(self, store: Store, runs: tuple[tuple[int, int, int], ...], n: int):
         self.store = store
         self.runs = runs
         self.n = n
 
-    @classmethod
-    def from_levels(cls, levels: Mapping[int, Sequence[WeightItem]],
-                    presorted: bool = False) -> "LeafSlice":
-        """Slice of a fresh list holding the levels' weights."""
-        arr: list[WeightItem] = []
-        runs = {}
-        for lv in sorted(levels):
-            items = list(levels[lv])
-            if presorted:
-                for a, b in zip(items, items[1:]):
-                    if b < a:
-                        raise ValueError(f"level {lv} is not in ascending order")
-            if items:
-                runs[lv] = (len(arr), len(arr) + len(items))
-                arr += items
-        return cls(Store(arr, list(map(_value, arr)) if presorted else None),
-                   runs, len(arr))
-
-    def levels(self) -> list[int]:
-        return sorted(self.runs)
-
-    def level_items(self, level: int) -> list[WeightItem]:
-        lo, hi = self.runs.get(level, (0, 0))
-        return self.store.arr[lo:hi]
-
     def all_items(self) -> list[WeightItem]:
+        arr = self.store.arr
         out: list[WeightItem] = []
-        for lv in self.levels():
-            out += self.level_items(lv)
+        for _, lo, hi in self.runs:
+            out += arr[lo:hi]
         return out
 
     def total_value(self) -> int:
         st = self.store
         arr, vals = st.arr, st.vals
         total = 0
-        for lo, hi in self.runs.values():
+        for _, lo, hi in self.runs:
             if vals is None:
                 total += arr[lo][0] if hi - lo == 1 else sum(map(_value, arr[lo:hi]))
             elif hi - lo < _BLOCK:
@@ -176,52 +150,48 @@ class LeafSlice:
     def min_index(self) -> int:
         arr = self.store.arr
         if type(arr) is Positions:  # every index is its position
-            return min(lo for lo, _ in self.runs.values())
-        return min(min(map(_index, arr[lo:hi])) for lo, hi in self.runs.values())
+            return min(lo for _, lo, _ in self.runs)
+        return min(min(map(_index, arr[lo:hi])) for _, lo, hi in self.runs)
 
 
 def _range(store: Store, level: int, lo: int, hi: int) -> LeafSlice:
-    return LeafSlice(store, {level: (lo, hi)} if lo < hi else {}, hi - lo)
+    return LeafSlice(store, ((level, lo, hi),) if lo < hi else (), hi - lo)
 
 
 def _union(store: Store, parts: Iterable[LeafSlice], level=None, lo=0, hi=0) -> LeafSlice:
     """Union of slices of adjacent rank runs, plus the leaves ``arr[lo:hi]``
-    at `level`, which no part holds.  Ranges of adjacent rank runs at one
-    level are adjacent, so each level's union is one range."""
-    runs = None
+    at `level`, above every level the parts hold.  Ranges of adjacent rank
+    runs at one level are adjacent, so sorted by level and then position,
+    each level's ranges chain into one."""
     n = hi - lo
     only = None
+    triples: list[tuple[int, int, int]] = []
     for part in parts:
-        if not part.n:
-            continue
-        only = None if n else part
-        n += part.n
-        if runs is None:
-            runs = dict(part.runs)
-            continue
-        for lv, ab in part.runs.items():
-            r = runs.setdefault(lv, ab)
-            if r is not ab:
-                runs[lv] = (r[0], ab[1]) if r[1] == ab[0] else (ab[0], r[1])
+        if part.n:
+            only = None if n else part
+            n += part.n
+            triples += part.runs
     if only is not None:
         return only  # slices are never mutated, so one part can be shared
-    if runs is None:
-        runs = {}
+    runs = []
+    for t in sorted(triples):
+        if runs and runs[-1][0] == t[0]:
+            runs[-1] = (t[0], runs[-1][1], t[2])
+        else:
+            runs.append(t)
     if lo < hi:
-        runs[level] = (lo, hi)
-    return LeafSlice(store, runs, n)
+        runs.append((level, lo, hi))
+    return LeafSlice(store, tuple(runs), n)
 
 
 def _below(sl: LeafSlice, level: int) -> LeafSlice:
     runs = sl.runs
-    if runs and max(runs) > level:
-        raise InvalidAssignmentError(f"slice holds weights above level {level}")
-    if level not in runs:
+    if not runs or runs[-1][0] < level:
         return sl
-    lo, hi = runs[level]
-    runs = dict(runs)
-    del runs[level]
-    return LeafSlice(sl.store, runs, sl.n - (hi - lo))
+    top, lo, hi = runs[-1]
+    if top > level:
+        raise InvalidAssignmentError(f"slice holds weights above level {level}")
+    return LeafSlice(sl.store, runs[:-1], sl.n - (hi - lo))
 
 
 def _leaf_select(store: Store, lo: int, hi: int, t: int, cnt) -> WeightItem:
@@ -269,21 +239,14 @@ def node_count(level: int, sl: LeafSlice) -> int:
     runs = sl.runs
     if not runs:
         return 0
-    if len(runs) == 1:
-        (prev,) = runs
-        m = sl.n
-    else:
-        m = 0
-        prev = None
-        for lv in sorted(runs):
-            if prev is not None:
-                gap = lv - prev
-                if m & ((1 << gap) - 1):
-                    raise InvalidAssignmentError("slice does not fold into whole nodes")
-                m >>= gap
-            lo, hi = runs[lv]
-            m += hi - lo
-            prev = lv
+    m = 0
+    prev = runs[0][0]
+    for lv, lo, hi in runs:
+        gap = lv - prev
+        if m & ((1 << gap) - 1):
+            raise InvalidAssignmentError("slice does not fold into whole nodes")
+        m = (m >> gap) + hi - lo
+        prev = lv
     if prev > level:
         raise InvalidAssignmentError(f"slice holds weights above level {level}")
     gap = level - prev
@@ -316,8 +279,10 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None,
         raise ValueError("empty slice")
     rank = nodes is not None
     st = sl.store
-    lo0, hi0 = sl.runs.get(level, (0, 0))
-    if lo0 < hi0 and len(sl.runs) == 1:
+    top, lo0, hi0 = sl.runs[-1]
+    if top != level:
+        lo0 = hi0 = 0
+    elif len(sl.runs) == 1:
         # leaves only: the lower median, without narrowing to s1, or the
         # leaf of rank s1
         t = s1 if rank else (sl.n + 1) // 2
@@ -417,7 +382,7 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None,
         wlo = whi = wlo + s1
     else:
         # internal nodes only: each is 2^gap nodes one leaf level down
-        h = max(wbelow.runs)
+        h = wbelow.runs[-1][0]
         gap = level - h
         first, rest = _rank_split(h, wbelow, s1 << gap, cnt, q << gap)
         lower.append(first)
@@ -439,15 +404,16 @@ def _fsi(level: int, sl: LeafSlice, cnt: ComparisonCounter):
 
     This is the query the recursion ``_locate -> _fsi -> _fsa -> _locate``
     repeats, so its results are memoized for the store's lifetime, keyed
-    by the context level and the slice's ranges with their levels.
+    by the context level and the slice's tuple of ranges.
     """
-    if not sl.runs:
+    runs = sl.runs
+    if not runs:
         raise ValueError("empty slice")
-    h = max(sl.runs)
+    h = runs[-1][0]
     if h >= level:
         raise InvalidAssignmentError(f"slice holds weights at or above level {level}")
     st = sl.store
-    key = (level, *sorted(sl.runs.items()))
+    key = (level, runs)
     out = st.memo.get(key)
     if out is not None:
         st.hits += 1
@@ -474,10 +440,10 @@ def _rank_split(level: int, sl: LeafSlice, t: int, cnt: ComparisonCounter,
     """Split the slice's nodes at `level` after the t-th smallest rank;
     `nodes`, if the caller knows it, is the slice's node count there."""
     if t == 0:
-        return LeafSlice(sl.store, {}, 0), sl
+        return LeafSlice(sl.store, (), 0), sl
     total = node_count(level, sl) if nodes is None else nodes
     if t == total:
-        return sl, LeafSlice(sl.store, {}, 0)
+        return sl, LeafSlice(sl.store, (), 0)
     if not 0 < t < total:
         raise ValueError(f"rank {t} out of range 1..{total}")
     _, _, first, rest = _locate(level, sl, t, total, cnt)

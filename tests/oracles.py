@@ -2,7 +2,8 @@
 
 The materializer builds every implied internal node of a level assignment
 the slow way (sort, pair, sum), so engine results can be checked against
-ground truth on small states.  The exhaustive search over all complete
+ground truth on small states; `slice_from_levels` lays such a state out
+as a split-engine slice.  The exhaustive search over all complete
 length profiles gives the exact minimum cost of tiny inputs.  The
 bit-at-a-time codec loops are the references the table-driven `encode`
 and `decode` are compared against.
@@ -12,8 +13,11 @@ from __future__ import annotations
 
 import random
 
+from typing import Mapping, Sequence
+
 from mrcode.codec import DecodeError
-from mrcode.core import CodeLengthProfile, WeightItem, WeightList
+from mrcode.core import CodeLengthProfile, WeightItem, WeightList, _block_totals
+from mrcode.split import LeafSlice, Store
 
 
 def materialize(levels: dict[int, list[WeightItem]], context: int):
@@ -28,6 +32,24 @@ def materialize(levels: dict[int, list[WeightItem]], context: int):
         nodes = [(a[0] + b[0], min(a[1], b[1]), a[2] + b[2])
                  for a, b in zip(nodes[0::2], nodes[1::2])]
     raise AssertionError("unreachable")
+
+
+def slice_from_levels(levels: Mapping[int, Sequence[WeightItem]],
+                      presorted: bool = False) -> LeafSlice:
+    """Slice of a fresh list holding the levels' weights, level after
+    level; a presorted slice needs each level in ascending order."""
+    arr: list[WeightItem] = []
+    runs = []
+    for lv in sorted(levels):
+        items = list(levels[lv])
+        if presorted and items != sorted(items):
+            raise ValueError(f"level {lv} is not in ascending order")
+        if items:
+            runs.append((lv, len(arr), len(arr) + len(items)))
+            arr += items
+    vals = [it.value for it in arr] if presorted else None
+    psum = None if vals is None else _block_totals(vals)
+    return LeafSlice(Store(arr, vals, psum), tuple(runs), len(arr))
 
 
 def splitting_rank_all(levels: dict, context: int, nodes) -> int:

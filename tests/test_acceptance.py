@@ -12,15 +12,15 @@ import time
 
 import pytest
 
-from mrcode import (ComparisonCounter, ConstructionMode, LeafSlice,
-                    WeightList, assignment_from_lengths, canonical_codes,
-                    code_cost, construct_lengths, decode, encode,
-                    huffman_lengths, kraft_sum, monotone, verify_exclusion)
+from mrcode import (ComparisonCounter, ConstructionMode, WeightList,
+                    assignment_from_lengths, canonical_codes, code_cost,
+                    construct_lengths, decode, encode, huffman_lengths,
+                    kraft_sum, monotone, verify_exclusion)
 from mrcode import generators, split
 from mrcode.core import MAX_WEIGHT
 from oracles import (WORKED_COST, WORKED_LENGTH_COUNTS, WORKED_VALUES,
                      brute_force_optimal, materialize, random_level_state,
-                     splitting_rank_all)
+                     slice_from_levels, splitting_rank_all)
 
 DETAILED = ConstructionMode("detailed")
 BASIC = ConstructionMode("basic")
@@ -227,7 +227,7 @@ def test_split_engine_matches_materialization():
         top_nodes = materialize(state, top)
         presorted = bool(done % 2)
         src = {lv: sorted(v) if presorted else v for lv, v in state.items()}
-        sl = LeafSlice.from_levels(src, presorted=presorted)
+        sl = slice_from_levels(src, presorted=presorted)
 
         nodes = materialize(state, top)
         pos = splitting_rank_all(state, top, nodes)

@@ -1,5 +1,7 @@
+import copy
 import gc
 import hashlib
+import pickle
 import random
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
@@ -7,13 +9,13 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrcode import (ComparisonCounter, ConstructionMode, LeafSlice, LevelState,
+from mrcode import (ComparisonCounter, ConstructionMode, LevelState,
                     WeightItem, WeightList, assignment_from_lengths, code_cost,
                     construct_lengths, distinct_length_count, huffman_lengths,
                     kraft_sum, monotone, node_count, verify_exclusion)
-from mrcode import construct, generators, split
+from mrcode import construct, core, generators, split
 from mrcode.construct import PendingPool
-from oracles import WORKED_COST, WORKED_LENGTH_COUNTS, WORKED_VALUES
+from oracles import WORKED_COST, WORKED_LENGTH_COUNTS, WORKED_VALUES, slice_from_levels
 
 DETAILED = ConstructionMode("detailed")
 BASIC = ConstructionMode("basic")
@@ -85,9 +87,9 @@ def worked_state_level2():
 
 def test_count_nodes_worked_example():
     w = worked_weights().items
-    assert node_count(0, LeafSlice.from_levels({0: w[0:20]})) == 20
-    assert node_count(1, LeafSlice.from_levels(worked_state_level1().levels)) == 15
-    assert node_count(2, LeafSlice.from_levels(worked_state_level2().levels)) == 13
+    assert node_count(0, slice_from_levels({0: w[0:20]})) == 20
+    assert node_count(1, slice_from_levels(worked_state_level1().levels)) == 15
+    assert node_count(2, slice_from_levels(worked_state_level2().levels)) == 13
 
 
 # --------------------------------------------------------------- next level
@@ -240,12 +242,29 @@ def test_worked_example_comparison_counts(algo, presorted, expected):
     assert stats.weight_comparisons == expected
 
 
-@pytest.mark.parametrize("n, expected", [(4096, 125), (16384, 146)])
-def test_example41_sorted_comparison_counts(n, expected):
-    from mrcode.generators import example41
-    w = WeightList.from_values(sorted(example41(n, 0)), sorted_flag=True)
+# presorted example41 at k = 3: generator n, weights N and the exact count
+_EXAMPLE41_SORTED = [(256, 386, 86), (1024, 1538, 106), (4096, 6146, 125),
+                     (16384, 24578, 146), (65536, 98306, 166)]
+
+
+def _example41_sorted_count(n):
+    w = WeightList.from_values(sorted(generators.example41(n, 0)), sorted_flag=True)
     _, stats = construct_lengths(w, DETAILED)
-    assert stats.weight_comparisons == expected
+    return len(w), stats.weight_comparisons
+
+
+@pytest.mark.parametrize("n, size, expected", [
+    pytest.param(*cell, id=f"{cell[0]}-{cell[2]}") for cell in _EXAMPLE41_SORTED])
+def test_example41_sorted_comparison_counts(n, size, expected):
+    assert _example41_sorted_count(n) == (size, expected)
+
+
+def test_example41_sorted_counts_grow_by_steps():
+    # the paper's presorted bound at fixed k is polylogarithmic in N, and
+    # so far below linear; each 4x step in N adds 19 to 21 comparisons
+    # here, and may add at most 24
+    counts = [_example41_sorted_count(n)[1] for n, _, _ in _EXAMPLE41_SORTED]
+    assert all(0 < b - a <= 24 for a, b in zip(counts, counts[1:]))
 
 
 def test_sorted_two_element_comparison_budget():
@@ -353,6 +372,15 @@ _IDENTITY_COMPARISONS = {
     ("basic", "nonpositional"): 5674,
 }
 
+# total (cache_hits, cut_hits) per (algo, kind): a memo key that answers
+# other queries than before changes the hits
+_IDENTITY_HITS = {
+    ("detailed", "unsorted"): (1216, 2030), ("detailed", "sorted"): (1213, 0),
+    ("detailed", "nonpositional"): (1216, 0),
+    ("basic", "unsorted"): (779, 1263), ("basic", "sorted"): (761, 0),
+    ("basic", "nonpositional"): (779, 0),
+}
+
 
 @pytest.mark.parametrize("algo, kind", sorted(_IDENTITY_COMPARISONS))
 def test_identity_corpus(algo, kind):
@@ -362,17 +390,20 @@ def test_identity_corpus(algo, kind):
     # not depend on the driver, and the non-positional list builds what
     # the input builds.  The comparison totals are exact; a change that
     # lowers them updates these pins and records the old and new numbers
-    # in CHANGES.md
+    # in CHANGES.md.  So are the memo and cut hits
     digest = hashlib.sha256()
-    total = 0
+    total = cache_hits = cut_hits = 0
     for values in _identity_lists():
         profile, stats = construct_lengths(_as_kind(values, kind), ConstructionMode(algo))
         digest.update(repr((profile.lengths, stats.iterations,
                             [tuple(e) for e in stats.trace])).encode())
         total += stats.weight_comparisons
+        cache_hits += stats.cache_hits
+        cut_hits += stats.cut_hits
         assert stats.distinct_lengths == distinct_length_count(profile)
     assert digest.hexdigest() == _IDENTITY_DIGEST[kind]
     assert total == _IDENTITY_COMPARISONS[algo, kind]
+    assert (cache_hits, cut_hits) == _IDENTITY_HITS[algo, kind]
 
 
 def _fibonacci_92():
@@ -403,7 +434,7 @@ def test_memo_never_answers_from_changed_ranges(monkeypatch):
 
     def weights_by_level(sl):
         arr = sl.store.arr
-        return {lv: frozenset(arr[lo:hi]) for lv, (lo, hi) in sl.runs.items()}
+        return {lv: frozenset(arr[lo:hi]) for lv, lo, hi in sl.runs}
 
     def checked_fsi(level, sl, cnt):
         nonlocal hits
@@ -446,7 +477,7 @@ def test_runs_grow_at_their_ends_in_rank_order(monkeypatch):
 
     def checked_move(self, moved):
         nonlocal joins
-        for lv, (cut, end) in moved.runs.items():
+        for lv, cut, end in moved.runs:
             if lv + 1 in self.runs:
                 lo, hi = self.runs[lv + 1]
                 assert max(self.arr[cut:end]) < min(self.arr[lo:hi])
@@ -487,7 +518,9 @@ def test_values_in_and_items_built_lists_construct_alike():
 
 def test_no_store_outlives_its_construction():
     # cached slices point back at their store; the memo is cleared when a
-    # construction returns, so no store waits for the cycle collector
+    # construction returns, so no store waits for the cycle collector.
+    # Each input is constructed twice: the block totals a presorted list
+    # keeps from its first construction hold no store either
     inputs = [WeightList.from_values(sorted(generators.example41(65536, 0)), sorted_flag=True),
               WeightList.from_values(generators.generate("geometric", 256, 0))]
     gc.collect()
@@ -495,13 +528,66 @@ def test_no_store_outlives_its_construction():
     gc.disable()
     try:
         for w in inputs:
-            _, stats = construct_lengths(w, DETAILED)
-            assert stats.cache_hits > 0
+            for _ in range(2):
+                _, stats = construct_lengths(w, DETAILED)
+                assert stats.cache_hits > 0
         left = [o for o in gc.get_objects()
                 if isinstance(o, split.Store) and id(o) not in before]
     finally:
         gc.enable()
     assert not left
+
+
+def test_presorted_list_keeps_its_block_totals(monkeypatch):
+    # a presorted list makes its block totals on its first construction
+    # and reads them on every later one, which gives what a fresh list
+    # gives; on example41-65536 and on a list of a whole number of blocks,
+    # whose near-tied sums turn a wrong total into a wrong answer
+    built = []
+    real = core._block_totals
+    monkeypatch.setattr(core, "_block_totals", lambda vals: built.append(len(vals)) or real(vals))
+    for values in (sorted(generators.example41(65536, 0)),
+                   sorted(generators.generate("two-cluster", 8 * split._BLOCK, 0))):
+        for mode in (DETAILED, BASIC):
+            expected = construct_lengths(WeightList.from_values(values, sorted_flag=True), mode)
+            built.clear()
+            w = WeightList.from_values(values, sorted_flag=True)
+            for _ in range(3):
+                assert construct_lengths(w, mode) == expected
+            assert built == [len(values)]
+
+
+def test_copied_lists_construct_alike():
+    # a copy or a pickle of a presorted list, made before or after its
+    # first construction, constructs alike and compares alike
+    values = sorted(generators.example41(4096, 0))
+    used = WeightList.from_values(values, sorted_flag=True)
+    expected = construct_lengths(used, DETAILED)
+    for w in (used, WeightList.from_values(values, sorted_flag=True)):
+        for c in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert c == w and hash(c) == hash(w) and repr(c) == repr(w)
+            assert construct_lengths(c, DETAILED) == expected
+            assert c._psum == used._psum
+
+
+def test_block_totals_stay_outside_equality():
+    # the totals are made only for presorted constructions, equal for
+    # both constructors, and change no list's equality, hash or repr
+    values = sorted(generators.example41(1024, 0))
+    kept = WeightList.from_values(values, sorted_flag=True)
+    fresh = WeightList.from_values(values, sorted_flag=True)
+    before = hash(kept), repr(kept)
+    construct_lengths(kept, DETAILED)
+    assert "_psum" in vars(kept) and "_psum" not in vars(fresh)
+    assert kept == fresh and (hash(kept), repr(kept)) == before == (hash(fresh), repr(fresh))
+    items_built = WeightList(tuple(fresh.items), sorted_flag=True)
+    block = split._BLOCK
+    assert items_built._psum == fresh._psum == kept._psum == \
+        tuple(sum(values[:b * block]) for b in range(-(-len(values) // block) + 1))
+    for w in (WeightList.from_values(values), WeightList(tuple(fresh.items))):
+        for mode in (DETAILED, BASIC):
+            construct_lengths(w, mode)
+        assert "_psum" not in vars(w)
 
 
 @pytest.mark.parametrize("label, algo, expected", [

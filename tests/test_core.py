@@ -444,6 +444,10 @@ def test_every_exported_name_resolves():
         assert name not in mrcode.__all__
         assert not hasattr(mrcode, name)
         assert not hasattr(mrcode.split, name)
+    # a slice is its tuple of (level, lo, hi); the tests lay out their
+    # own slices with `oracles.slice_from_levels`
+    for name in ("from_levels", "levels", "level_items"):
+        assert not hasattr(mrcode.LeafSlice, name)
 
 
 def test_readme_library_example_runs():

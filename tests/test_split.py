@@ -6,15 +6,20 @@ import pytest
 from mrcode import (ComparisonCounter, InvalidAssignmentError, LeafSlice,
                     WeightItem, WeightList, node_count)
 from mrcode import split
-from mrcode.core import MAX_WEIGHT
+from mrcode.core import MAX_WEIGHT, _block_totals
 from mrcode.split import Store
 from oracles import (WORKED_VALUES, materialize, random_level_state,
-                     split_fixture_state, splitting_rank_all)
+                     slice_from_levels, split_fixture_state, splitting_rank_all)
 
 
 def slice_of(levels, presorted=False):
     src = {lv: sorted(items) if presorted else items for lv, items in levels.items()}
-    return LeafSlice.from_levels(src, presorted=presorted)
+    return slice_from_levels(src, presorted=presorted)
+
+
+def level_items(sl, level):
+    """The slice's weights at `level`, in list order."""
+    return next((sl.store.arr[lo:hi] for lv, lo, hi in sl.runs if lv == level), [])
 
 
 def worked_mid_state():
@@ -31,14 +36,14 @@ def worked_mid_state():
 def test_cut():
     state = worked_mid_state()
     sl = slice_of(state)
-    leaves, below = sl.level_items(2), split._below(sl, 2)
+    leaves, below = level_items(sl, 2), split._below(sl, 2)
     assert sorted(it.value for it in leaves) == [9] * 5
     assert below.n == 25
-    sl0 = LeafSlice.from_levels({0: state[0]})
-    leaves0, below0 = sl0.level_items(0), split._below(sl0, 0)
+    sl0 = slice_from_levels({0: state[0]})
+    leaves0, below0 = level_items(sl0, 0), split._below(sl0, 0)
     assert len(leaves0) == 18 and below0.n == 0
-    empty = LeafSlice.from_levels({})
-    empty_leaves, empty_below = empty.level_items(3), split._below(empty, 3)
+    empty = slice_from_levels({})
+    empty_leaves, empty_below = level_items(empty, 3), split._below(empty, 3)
     assert empty_leaves == [] and empty_below.n == 0
 
 
@@ -50,18 +55,18 @@ def test_cut_rejects_weights_above_level():
 def test_node_count_folds():
     state = worked_mid_state()
     assert node_count(2, slice_of(state)) == 13
-    assert node_count(0, LeafSlice.from_levels({0: state[0]})) == 18
+    assert node_count(0, slice_from_levels({0: state[0]})) == 18
 
 
 def test_node_count_divisibility_error():
     items = [WeightItem(1, i) for i in range(3)]
     with pytest.raises(InvalidAssignmentError):
-        node_count(1, LeafSlice.from_levels({0: items}))
+        node_count(1, slice_from_levels({0: items}))
 
 
 def test_base_case_tie_break():
     items = [WeightItem(2, i) for i in range(3)]
-    pos, chi, lower, upper = split._fsa(0, LeafSlice.from_levels({0: items}),
+    pos, chi, lower, upper = split._fsa(0, slice_from_levels({0: items}),
                                         ComparisonCounter())
     assert pos == 2
     assert chi.all_items() == [WeightItem(2, 1)]
@@ -102,7 +107,7 @@ def test_span_two_odd_rank_pairs_with_successor():
     # with a span of two and an odd splitting rank below, the enclosing
     # internal node pairs the lower splitting node with its successor
     items = [WeightItem(v, i) for i, v in enumerate([1, 2, 3, 4])]
-    sl = LeafSlice.from_levels({0: items})
+    sl = slice_from_levels({0: items})
     pos, chi, _, upper = split._fsi(1, sl, ComparisonCounter())
     assert pos == 1
     assert sorted(it.value for it in chi.all_items()) == [1, 2]
@@ -271,24 +276,24 @@ def test_presorted_range_sums():
                      for i in range(size))
         values = [it.value for it in arr]
         ref = [0, *accumulate(values)]
-        store = Store(arr, values)
+        store = Store(arr, values, _block_totals(values))
         assert [store.prefix(j) for j in range(size + 1)] == ref
         assert size < 63 or ref[-1] > 2**63
         for lo in range(size):
             for hi in range(lo + 1, size + 1):
-                assert LeafSlice(store, {0: (lo, hi)}, hi - lo).total_value() == \
+                assert LeafSlice(store, ((0, lo, hi),), hi - lo).total_value() == \
                     sum(values[lo:hi])
         if size <= 1:
             continue  # a slice of two levels needs two weights
         for _ in range(200):
             # one range inside each level's run, the runs ascending by level
             cuts = sorted(rng.sample(range(1, size), rng.randint(1, min(3, size - 1))))
-            runs = {}
+            runs = []
             for lv, (a, b) in enumerate(zip([0, *cuts], [*cuts, size])):
                 lo = rng.randrange(a, b)
-                runs[lv] = (lo, rng.randint(lo + 1, b))
-            sl = LeafSlice(store, runs, sum(hi - lo for lo, hi in runs.values()))
-            assert sl.total_value() == sum(ref[hi] - ref[lo] for lo, hi in runs.values())
+                runs.append((lv, lo, rng.randint(lo + 1, b)))
+            sl = LeafSlice(store, tuple(runs), sum(hi - lo for _, lo, hi in runs))
+            assert sl.total_value() == sum(ref[hi] - ref[lo] for _, lo, hi in runs)
             assert sl.total_value() == sum(it.value for it in sl.all_items())
 
 
@@ -304,12 +309,13 @@ def test_positional_min_index_equals_scan():
         view = split.Positions(tuple(values))
         assert len(view) == size and list(view) == list(items)
         assert view[0:size] == list(items) and view[size - 1] == view[-1] == items[-1]
-        positional, scanned = Store(view, values), Store(items, values)
+        psum = _block_totals(values)
+        positional, scanned = Store(view, values, psum), Store(items, values, psum)
         for _ in range(300):
             k = 2 * rng.randint(1, min(3, (size + 1) // 2))  # range ends
             cuts = sorted(rng.sample(range(size + 1), k))
-            runs = dict(enumerate(zip(cuts[::2], cuts[1::2])))
-            n = sum(hi - lo for lo, hi in runs.values())
+            runs = tuple((lv, lo, hi) for lv, (lo, hi) in enumerate(zip(cuts[::2], cuts[1::2])))
+            n = sum(hi - lo for _, lo, hi in runs)
             a, b = LeafSlice(positional, runs, n), LeafSlice(scanned, runs, n)
             assert a.min_index() == b.min_index() == min(it.index for it in b.all_items())
             assert a.all_items() == b.all_items()
@@ -319,7 +325,7 @@ def test_positional_min_index_equals_scan():
 def test_presorted_slices_validate_order():
     items = [WeightItem(2, 0), WeightItem(1, 1)]
     with pytest.raises(ValueError):
-        LeafSlice.from_levels({0: items}, presorted=True)
+        slice_from_levels({0: items}, presorted=True)
 
 
 def test_internal_split_needs_strictly_lower_weights():
@@ -333,7 +339,7 @@ def _indices(sl):
 
 
 def _levels_of(sl):
-    return {lv: sl.level_items(lv) for lv in sl.levels()}
+    return {lv: sl.store.arr[lo:hi] for lv, lo, hi in sl.runs}
 
 
 def _wide_state(rng):
