@@ -13,10 +13,11 @@ length, and is derived only where it is sent.
 A profile whose lengths never increase, as a presorted construction
 returns, is k runs of equal lengths, k being the number of distinct
 lengths.  A `CodeLengthProfile` holds its runs: a presorted construction
-hands them over, and `core._length_runs` finds them in O(k log n) steps
-for any other profile.  On such a profile `canonical_codes` works from
-the runs: each length's symbols are one ``range``, and a symbol's rank is
-its offset from the range's start.  `pack_container` writes the runs as
+hands them over, as the `core.RunLengths` that are its lengths, and
+`core._length_runs` finds them in O(k log n) steps for any other
+profile.  On such a profile `canonical_codes` works from the runs: each
+length's symbols are one ``range``, and a symbol's rank is its offset
+from the range's start.  `pack_container` writes the runs as
 the container's header, and `unpack_container` reads them back.  `encode`
 and `decode` then work in proportion to the message.  Every other
 profile takes the same steps symbol by symbol, with the same results and
@@ -59,8 +60,8 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .core import (CodeLengthProfile, _kraft_scaled, _length_counts, _length_runs,
-                   check_length_range)
+from .core import (CodeLengthProfile, RunLengths, _kraft_scaled, _length_counts,
+                   _length_runs, check_length_range)
 
 MAGIC = b"PFX1"  # the per-symbol header
 RUN_MAGIC = b"PFX2"  # the run header
@@ -86,20 +87,22 @@ class DecodeError(ValueError):
 class CanonicalTable:
     """Canonical code table, kept per codeword length.
 
-    ``lengths`` gives each symbol's codeword length.  The three per-length
-    tuples are indexed by length, 0 to `max_length`: ``first_codes`` holds
-    the first (smallest) codeword of each length, ``counts`` the number of
-    codewords, and ``groups`` the symbols of that length in index order:
-    every group a ``range`` of consecutive indices in the table of a
-    profile whose lengths never increase, and a tuple in any other table;
-    unused lengths hold 0, 0 and an empty group.  The codeword of a symbol
-    is its length's first code plus its rank in its group.  ``groups`` is
-    what `encode` and `decode` read.  It follows from ``lengths`` and takes
-    no part in equality, so a table compares by its lengths and per-length
-    codes.  `codeword_bits` derives one symbol's codeword.
+    ``lengths`` gives each symbol's codeword length: the profile's tuple,
+    or its `core.RunLengths` for a presorted construction.  The three
+    per-length tuples are indexed by length, 0 to `max_length`:
+    ``first_codes`` holds the first (smallest) codeword of each length,
+    ``counts`` the number of codewords, and ``groups`` the symbols of
+    that length in index order: every group a ``range`` of consecutive
+    indices in the table of a profile whose lengths never increase, and a
+    tuple in any other table; unused lengths hold 0, 0 and an empty
+    group.  The codeword of a symbol is its length's first code plus its
+    rank in its group.  ``groups`` is what `encode` and `decode` read.  It
+    follows from ``lengths`` and takes no part in equality, so a table
+    compares by its lengths and per-length codes.  `codeword_bits` derives
+    one symbol's codeword.
     """
 
-    lengths: tuple[int, ...]
+    lengths: Sequence[int]
     first_codes: tuple[int, ...]
     counts: tuple[int, ...]
     groups: tuple[Sequence[int], ...] = field(compare=False)
@@ -300,15 +303,20 @@ def pack_container(lengths: Sequence[int], payload: bytes, bit_count: int) -> by
     Integer lengths that never increase (`core._length_runs`) take the run
     header, ``PFX2``, when it is shorter than the per-symbol one and n is
     at most `MAX_RUN_SYMBOLS`; any other lengths the per-symbol header,
-    ``PFX1``.  A length or bit count that does not fit raises
+    ``PFX1``.  A `core.RunLengths`, the lengths of a presorted
+    construction, gives its runs in O(1) and holds ints by construction,
+    so its run header costs O(k); any other sequence is read in full
+    once, by its run check and the ``sum`` that proves every length an
+    int.  A length or bit count that does not fit raises
     `ContainerFormatError`.
     """
     runs = _length_runs(lengths)
     n = len(lengths)
     try:
-        # a float equal to an int passes the runs' count, not struct.pack
+        # a float equal to an int passes the runs' count, not struct.pack;
+        # a `RunLengths` holds ints by construction
         run_form = (runs is not None and n <= MAX_RUN_SYMBOLS and 2 + 10 * len(runs) < 2 * n
-                    and type(sum(lengths)) is int)
+                    and (type(lengths) is RunLengths or type(sum(lengths)) is int))
     except TypeError:
         run_form = False
     try:

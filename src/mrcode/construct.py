@@ -11,7 +11,6 @@ with a full binary tree by moving the largest-rank subtrees up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Callable, Literal, Sequence
 
 from .core import (CodeLengthProfile, ComparisonCounter, ConstructionStats,
@@ -336,13 +335,12 @@ def construct_lengths(weights: WeightList,
 
     if type(pool.arr) is Positions:
         # the runs tile the input in position order, and position is index,
-        # so they are the profile's runs; the top level's length is the
-        # shortest of the k
+        # so they are the profile's runs, and its lengths; the top level's
+        # length is the shortest of the k
         if root <= levels.top():
             raise AssertionError(f"root level {root} is not above the top level")
-        runs = tuple((root - lv, lo, hi) for lv, (lo, hi) in levels.runs.items())
-        profile = CodeLengthProfile._checked(tuple(chain.from_iterable(
-            repeat(l, hi - lo) for l, lo, hi in runs)), runs)
+        profile = CodeLengthProfile._from_runs(
+            tuple((root - lv, lo, hi) for lv, (lo, hi) in levels.runs.items()))
     else:
         lengths = [0] * n
         arr = pool.arr

@@ -199,6 +199,67 @@ class WeightList:
         return list(self._vals)
 
 
+class RunLengths:
+    """Read-only sequence of codeword lengths held as their ``runs``:
+    ``(length, lo, hi)`` triples that tile 0..n in order with strictly
+    falling int lengths, as a presorted construction ends with them, so
+    that the profile of k distinct lengths is made in O(k), not O(n).
+
+    It stands for the tuple of its lengths: it equals that tuple (and no
+    list), hashes, ``repr``s, counts and indexes like it, raising the
+    tuple's errors, and pickles and copies as it.  Iteration chains one
+    C-level ``repeat`` per run, and an int index bisects the k run ends;
+    anything else indexes the tuple.
+    """
+
+    __slots__ = ("runs", "_ends", "_lens")
+
+    def __init__(self, runs: tuple[tuple[int, int, int], ...]):
+        self.runs = runs
+        self._ends = tuple(hi for _, _, hi in runs)
+        self._lens = tuple(l for l, _, _ in runs)
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __iter__(self):
+        return chain.from_iterable(repeat(l, hi - lo) for l, lo, hi in self.runs)
+
+    def __getitem__(self, i):
+        ends = self._ends
+        if type(i) is int:  # not a bool or a float
+            if 0 <= i < ends[-1]:
+                return self._lens[bisect_right(ends, i)]
+            if -ends[-1] <= i < 0:
+                return self._lens[bisect_right(ends, i + ends[-1])]
+        return tuple(self)[i]  # a slice, or the tuple's error
+
+    def __eq__(self, other):
+        if type(other) is RunLengths:
+            return self.runs == other.runs  # the runs of given lengths are unique
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __contains__(self, value) -> bool:
+        return value in self._lens
+
+    def count(self, value) -> int:
+        return sum(hi - lo for l, lo, hi in self.runs if l == value)
+
+    def index(self, *args) -> int:
+        return tuple(self).index(*args)
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 @dataclass(frozen=True)
 class CodeLengthProfile:
     """Per-input-index codeword lengths; `kraft_sum` gives their Kraft sum.
@@ -207,7 +268,10 @@ class CodeLengthProfile:
     `Decimal`, `Fraction` or NaN raises `TypeError` naming the first such
     length, before the range is checked; a ``bool`` is stored as an
     ``int``.  The lengths are stored as a tuple, whatever sequence they
-    came in, so every profile hashes.
+    came in, so every profile hashes.  A presorted construction makes its
+    profile from its runs instead (`_from_runs`): its lengths are then a
+    `RunLengths`, equal to the tuple, and ``tuple(profile.lengths)`` gives
+    that tuple.
 
     A profile whose lengths never increase also holds its (length, lo, hi)
     runs (``_runs``, see `_length_runs`; None for any other profile), which
@@ -216,7 +280,7 @@ class CodeLengthProfile:
     length is then the last run's, with no pass over the n lengths.
     """
 
-    lengths: tuple[int, ...]
+    lengths: tuple[int, ...] | RunLengths
     _runs: tuple[tuple[int, int, int], ...] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -247,13 +311,11 @@ class CodeLengthProfile:
         object.__setattr__(self, "_runs", None if runs is None else tuple(runs))
 
     @classmethod
-    def _checked(cls, lengths: tuple[int, ...],
-                 runs: tuple[tuple[int, int, int], ...]) -> "CodeLengthProfile":
-        """The profile of `lengths`, given as their `runs`, which the
-        caller has shown to be non-empty and at least 1, without a pass
-        over the lengths."""
+    def _from_runs(cls, runs: tuple[tuple[int, int, int], ...]) -> "CodeLengthProfile":
+        """The profile of the `RunLengths` of `runs`, which the caller has
+        shown to hold ints of at least 1, in O(k) steps for k runs."""
         profile = object.__new__(cls)
-        object.__setattr__(profile, "lengths", lengths)
+        object.__setattr__(profile, "lengths", RunLengths(runs))
         object.__setattr__(profile, "_runs", runs)
         return profile
 
@@ -327,11 +389,12 @@ def kraft_sum(lengths: Sequence[int] | CodeLengthProfile) -> Fraction:
     return Fraction(num, 1 << top)
 
 
-def _length_runs(ls: Sequence[int]) -> list[tuple[int, int, int]] | None:
+def _length_runs(ls: Sequence[int]) -> Sequence[tuple[int, int, int]] | None:
     """The (length, lo, hi) runs of a profile whose lengths never increase:
     ``ls[lo:hi]`` all equal the length, and the runs cover the profile in
     order with strictly falling lengths.  None for any other profile, and
-    for lengths that are not a sequence of numbers.
+    for lengths that are not a sequence of numbers.  A `RunLengths`
+    answers with its own runs, in O(1).
 
     Nine lengths at eighth steps give up most profiles that are plainly
     not monotone in O(1).  Each run end is then found by bisection, which
@@ -339,6 +402,8 @@ def _length_runs(ls: Sequence[int]) -> list[tuple[int, int, int]] | None:
     runs fall strictly, and each run is checked by one C-level count.  A
     profile of k distinct lengths costs O(k log n) Python steps.
     """
+    if type(ls) is RunLengths:
+        return ls.runs
     try:
         n = len(ls)
         e = n >> 3

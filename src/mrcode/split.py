@@ -194,9 +194,10 @@ def _below(sl: LeafSlice, level: int) -> LeafSlice:
     return LeafSlice(sl.store, runs[:-1], sl.n - (hi - lo))
 
 
-def _leaf_select(store: Store, lo: int, hi: int, t: int, cnt) -> WeightItem:
-    """The t-th smallest weight of ``arr[lo:hi]``, left at position
-    ``lo + t - 1`` with the smaller ones before it and the larger after.
+def _leaf_select(store: Store, lo: int, hi: int, t: int, cnt) -> int:
+    """The position of the t-th smallest weight of ``arr[lo:hi]``, which
+    is left at ``lo + t - 1`` with the smaller ones before it and the
+    larger after; a presorted store makes no item for it.
 
     An unsorted store selects only within the piece of the window between
     the nearest known cuts around that position, and rewrites the piece
@@ -213,7 +214,7 @@ def _leaf_select(store: Store, lo: int, hi: int, t: int, cnt) -> WeightItem:
     arr = store.arr
     p = lo + t - 1
     if store.vals is not None or hi - lo == 1:
-        return arr[p]
+        return p
     cuts = store.cuts
     # the nearest cuts at or below p and above it, clamped to the window;
     # cuts[i:j] are those in [a, b], to be replaced
@@ -227,11 +228,11 @@ def _leaf_select(store: Store, lo: int, hi: int, t: int, cnt) -> WeightItem:
         j += 1
     if b - a == 1:
         store.cut_hits += 1
-        return arr[p]
+        return p
     item, lows, highs = select_rank(arr[a:b], p - a + 1, cnt)
     arr[a:b] = [*lows, item, *highs]
     cuts[i:j] = sorted({a, p, p + 1, b})
-    return item
+    return p
 
 
 def node_count(level: int, sl: LeafSlice) -> int:
@@ -286,8 +287,7 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None,
         # leaves only: the lower median, without narrowing to s1, or the
         # leaf of rank s1
         t = s1 if rank else (sl.n + 1) // 2
-        _leaf_select(st, lo0, hi0, t, cnt)
-        at = lo0 + t - 1
+        at = _leaf_select(st, lo0, hi0, t, cnt)
         if rank:
             return t, None, _range(st, level, lo0, at + 1), _range(st, level, at + 1, hi0)
         return (t, _range(st, level, at, at + 1), _range(st, level, lo0, at),
@@ -309,8 +309,8 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None,
         if rank and (s1 == 0 or not wbelow.n or not nleaf):
             break  # a rank split ends without narrowing; see below
         if nleaf and at is None:
-            mid = _leaf_select(st, wlo, whi, (nleaf + 1) // 2, cnt)
-            at = wlo + (nleaf - 1) // 2
+            at = _leaf_select(st, wlo, whi, (nleaf + 1) // 2, cnt)
+            mid = st.arr[at][0] if st.vals is None else st.vals[at]
             nlo, nhi = at - wlo, whi - at - 1
         if wbelow.n and chi is None:
             p, chi, p1, p2 = _fsi(level, wbelow, cnt)
@@ -320,10 +320,11 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None,
             # one counted comparison; a value tie falls back to the
             # smallest original index
             cnt.count += 1
-            if mid[0] != chi_val:
-                above = mid[0] > chi_val
+            if mid != chi_val:
+                above = mid > chi_val
             else:
-                above = mid[1] > chi.min_index()
+                # a positional store's index is the position
+                above = (at if type(st.arr) is Positions else st.arr[at][1]) > chi.min_index()
             if above:
                 leaf_moves = up = nlo + c1 + c > s1
             else:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import groupby
@@ -778,3 +779,44 @@ def test_presorted_profile_takes_no_per_symbol_step():
             table_in = canonical_codes(CodeLengthProfile(tuple(lengths)))
             assert decode(payload_in, bits_in, table_in) == message
     assert (payload, bits) == reference_encode(message, table)
+
+
+def _presorted_example41(n):
+    values = sorted(generators.generate("example41", n))
+    return construct_lengths(WeightList.from_values(values, sorted_flag=True))[0]
+
+
+def test_run_backed_table_refuses_symbols_as_a_tuple_table_does():
+    # a presorted construction's lengths index like a tuple, so a table
+    # built on them refuses each bad symbol with the tuple's error
+    profile = _presorted_example41(256)
+    assert type(profile.lengths) is core.RunLengths
+    n = len(profile)
+    runs = canonical_codes(profile)
+    flat = canonical_codes(CodeLengthProfile(tuple(profile.lengths)))
+    assert _outcome(encode, [1.0, 2], runs) == \
+        (TypeError, "tuple indices must be integers or slices, not float")
+    # a few distinct symbols take the dict path, all n the list path
+    for message in ([1.0, 2], [2, 1.0], ["a"], [0, "a"], [n], [0, -1],
+                    [*range(n), 1.0], [*range(n), "a"], [*range(n), n]):
+        assert _outcome(encode, message, runs) == _outcome(encode, message, flat)
+    assert encode(list(range(n)), runs) == encode(list(range(n)), flat)
+
+
+def test_presorted_write_side_holds_no_length_tuple():
+    # canonical_codes, a 256-symbol encode and pack_container on the 98 306
+    # run-backed lengths of presorted example41-65536 make nothing of size
+    # n, and the container equals that of the lengths as a tuple
+    profile = _presorted_example41(65536)
+    message = random.Random(22).choices(range(len(profile)), k=256)
+    tracemalloc.start()
+    try:
+        table = canonical_codes(profile)
+        payload, bits = encode(message, table)
+        blob = pack_container(profile.lengths, payload, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert blob == pack_container(tuple(profile.lengths), payload, bits)
+    assert blob[:4] == b"PFX2" and (payload, bits) == reference_encode(message, table)

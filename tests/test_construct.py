@@ -3,6 +3,7 @@ import gc
 import hashlib
 import pickle
 import random
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
@@ -846,3 +847,51 @@ def test_pool_sorted_cursor_is_cheap():
     assert pool.take_below(51) == 50 and len(pool) == 50
     # exponential plus binary search probes stay logarithmic
     assert cnt.count <= 16
+
+
+def test_presorted_construction_holds_no_length_tuple():
+    # presorted example41-65536 hands back its three runs, not a tuple of
+    # its 98 306 lengths; the first construction made the block totals
+    w = WeightList.from_values(sorted(generators.generate("example41", 65536)),
+                               sorted_flag=True)
+    first, _ = construct_lengths(w)
+    tracemalloc.start()
+    try:
+        profile, stats = construct_lengths(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert profile == first and stats.weight_comparisons == 166
+    assert profile.lengths.runs == ((18, 0, 65536), (17, 65536, 98304), (2, 98304, 98306))
+
+
+def test_presorted_probes_make_no_items(monkeypatch):
+    # the split engine reads a positional probe's value from the list's
+    # values and its index from its position; only the pool's two smallest
+    # are made as items
+    real_get, real_two = split.Positions.__getitem__, PendingPool.two_smallest
+    in_pool = []
+    stray = []
+
+    def get(self, i):
+        if not in_pool:
+            stray.append(i)
+        return real_get(self, i)
+
+    def two_smallest(self):
+        in_pool.append(1)
+        try:
+            return real_two(self)
+        finally:
+            in_pool.pop()
+
+    monkeypatch.setattr(split.Positions, "__getitem__", get)
+    monkeypatch.setattr(PendingPool, "two_smallest", two_smallest)
+    for values in (sorted(generators.generate("example41", 4096)), sorted(WORKED_VALUES),
+                   sorted(generators.generate("geometric", 256, 0))):
+        for mode in (DETAILED, BASIC):
+            w = WeightList.from_values(values, sorted_flag=True)
+            assert code_cost(w, construct_lengths(w, mode)[0]) == \
+                code_cost(w, huffman_lengths(w))
+    assert stray == []

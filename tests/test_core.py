@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 import re
@@ -6,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mrcode
 from mrcode import (CodeLengthProfile, ConstructionMode, InvalidAssignmentError, LevelState,
@@ -167,6 +168,82 @@ def test_profile_with_runs_keeps_the_input_rules():
     for lengths in ((2, 2, False), (3, 0, 0), (2, 1, -1), (True, False)):
         with pytest.raises(ValueError, match=r"^codeword lengths must be >= 1$"):
             CodeLengthProfile(lengths)
+
+
+@st.composite
+def _length_runs(draw):
+    """(length, lo, hi) runs of 1 to 5 strictly falling lengths, each over
+    1 to 20 positions, as a presorted construction ends with them."""
+    lengths = sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=5)), reverse=True)
+    runs, lo = [], 0
+    for l in lengths:
+        hi = lo + draw(st.integers(1, 20))
+        runs.append((l, lo, hi))
+        lo = hi
+    return tuple(runs)
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@given(_length_runs(), _length_runs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_run_lengths_behave_as_their_tuple(runs, other_runs, data):
+    rl, other = core.RunLengths(runs), core.RunLengths(other_runs)
+    t, ot = tuple(rl), tuple(other)
+    assert t == tuple(l for l, lo, hi in runs for _ in range(lo, hi))
+    n = len(t)
+    # equality in both operand orders, against the tuple and run-backed
+    # lengths; a list equals neither, as it equals no tuple
+    for a, b in ((rl, t), (t, rl), (rl, core.RunLengths(runs)), (rl, rl)):
+        assert a == b and not a != b
+    for a, b in ((rl, ot), (ot, rl), (rl, other), (other, rl)):
+        assert (a == b) == (t == ot) and (a != b) == (t != ot)
+    for a, b in ((rl, list(t)), (list(t), rl)):
+        assert not a == b and a != b
+    assert (hash(rl), repr(rl), len(rl), list(rl)) == (hash(t), repr(t), n, list(t))
+    # every index, in range or not, and what is no index at all
+    for i in (*range(-n - 1, n + 1), True, False, 1.0, "0", None):
+        assert _outcome(rl.__getitem__, i) == _outcome(t.__getitem__, i)
+    sl = data.draw(st.slices(n + 2))
+    assert type(rl[sl]) is tuple and rl[sl] == t[sl]
+    for v in (*set(t), 0, 41, float(t[0]), "a"):
+        assert (rl.count(v), v in rl) == (t.count(v), v in t)
+        assert _outcome(rl.index, v) == _outcome(t.index, v)
+        start, stop = (data.draw(st.integers(-n - 2, n + 2)) for _ in range(2))
+        assert _outcome(rl.index, v, start, stop) == _outcome(t.index, v, start, stop)
+    for dup in (copy.copy(rl), copy.deepcopy(rl)):
+        assert dup == t and hash(dup) == hash(t)
+    # pickled as the tuple, so a pickle reads back as one
+    loaded = pickle.loads(pickle.dumps(rl))
+    assert type(loaded) is tuple and loaded == t
+
+
+def test_only_presorted_positional_constructions_hold_run_lengths():
+    # a presorted construction on a positional list hands back its runs;
+    # unsorted and non-positional lists, the oracles and profiles built
+    # from lengths hold plain tuples, equal to them
+    values = sorted(generators.generate("example41", 256))
+    rev = values[::-1]
+    built = construct_lengths(WeightList.from_values(values, sorted_flag=True))[0]
+    assert type(built.lengths) is core.RunLengths and built.lengths.runs == built._runs
+    same = (construct_lengths(WeightList.from_values(values))[0],
+            mrcode.huffman_sorted_lengths(WeightList.from_values(values, sorted_flag=True)),
+            CodeLengthProfile(built.lengths))
+    reverse = (construct_lengths(WeightList.from_values(rev))[0],
+               construct_lengths(WeightList(tuple(sorted(map(WeightItem, rev, range(len(rev))))),
+                                            sorted_flag=True))[0])
+    for p in same + reverse:
+        assert type(p.lengths) is tuple
+    for p in same:
+        assert p == built and hash(p) == hash(built) and p.lengths == built.lengths
+    for p in reverse:
+        assert p.lengths[::-1] == built.lengths
 
 
 def test_weight_list_validation():
@@ -448,6 +525,9 @@ def test_every_exported_name_resolves():
     # own slices with `oracles.slice_from_levels`
     for name in ("from_levels", "levels", "level_items"):
         assert not hasattr(mrcode.LeafSlice, name)
+    # a profile is made from lengths or, by a presorted construction, from
+    # its runs (`_from_runs`); there is no third way
+    assert not hasattr(CodeLengthProfile, "_checked")
 
 
 def test_readme_library_example_runs():

@@ -409,18 +409,25 @@ def test_selection_between_known_cuts_makes_no_comparison():
     ranked = sorted(items)
     store = Store(list(items), None)
     cnt = ComparisonCounter()
-    assert split._leaf_select(store, 0, 40, 20, cnt) == ranked[19]
-    assert split._leaf_select(store, 20, 40, 5, cnt) == ranked[24]
+
+    def select(lo, hi, t):
+        # the selected weight is left at, and answered by, its position
+        p = split._leaf_select(store, lo, hi, t, cnt)
+        assert p == lo + t - 1
+        return store.arr[p]
+
+    assert select(0, 40, 20) == ranked[19]
+    assert select(20, 40, 5) == ranked[24]
     assert store.cuts == [0, 19, 20, 24, 25, 40]
     arr, count = list(store.arr), cnt.count
     for lo, hi, t in ((0, 40, 20), (0, 40, 25), (19, 25, 1), (20, 40, 5), (0, 20, 20)):
-        assert split._leaf_select(store, lo, hi, t, cnt) == ranked[lo + t - 1]
+        assert select(lo, hi, t) == ranked[lo + t - 1]
     assert (cnt.count, store.arr, store.cut_hits) == (count, arr, 5)
     assert store.cuts == [0, 19, 20, 24, 25, 40]
     # a window of one weight is no selection; a piece between cuts is
     # selected alone
-    assert split._leaf_select(store, 24, 25, 1, cnt) == ranked[24]
+    assert select(24, 25, 1) == ranked[24]
     assert (cnt.count, store.cut_hits) == (count, 5)
-    assert split._leaf_select(store, 0, 40, 30, cnt) == ranked[29]
+    assert select(0, 40, 30) == ranked[29]
     assert store.arr[:25] == arr[:25] and cnt.count > count
     assert store.cuts == [0, 19, 20, 24, 25, 29, 30, 40]
