@@ -5,10 +5,9 @@ tree, reference oracles, validity checkers, and a canonical bit codec.
 """
 
 from .core import (CodeLengthProfile, ComparisonCounter, ConstructionStats,
-                   InvalidAssignmentError, LevelState, LevelTraceEntry,
-                   WeightItem, WeightList, assignment_from_lengths, code_cost,
-                   distinct_length_count, kraft_sum, monotone,
-                   verify_exclusion)
+                   InvalidAssignmentError, LevelTraceEntry, WeightItem,
+                   WeightList, code_cost, distinct_length_count, kraft_sum,
+                   monotone, verify_exclusion)
 from .selection import select_rank
 from .split import LeafSlice, node_count
 from .construct import ConstructionMode, construct_lengths
@@ -22,9 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalTable", "CodeLengthProfile", "ComparisonCounter",
     "ConstructionMode", "ConstructionStats", "ContainerFormatError",
-    "DecodeError", "InvalidAssignmentError", "LeafSlice", "LevelState",
-    "LevelTraceEntry", "WeightItem", "WeightList",
-    "assignment_from_lengths", "canonical_codes", "code_cost",
+    "DecodeError", "InvalidAssignmentError", "LeafSlice", "LevelTraceEntry",
+    "WeightItem", "WeightList", "canonical_codes", "code_cost",
     "construct_lengths", "decode", "distinct_length_count", "encode",
     "huffman_lengths", "huffman_sorted_lengths", "kraft_sum", "monotone",
     "node_count", "pack_container", "select_rank", "unpack_container",

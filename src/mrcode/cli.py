@@ -1,11 +1,14 @@
 """Command-line interface: length construction, verification, generators,
 benchmarks, and the bit codec.
 
-Exit codes: 0 on success; 1 when `verify` or `bench` finds a code that is
-not optimal; 2 on every usage, parse or file error, printed as one line
-``mrcode: error: <file>: <reason>``.  The rules an input must meet are the
-library's.  Weight files hold one positive decimal integer per line; length
-files one integer per line, aligned with the weight file.
+Exit codes: 0 on success; 1 when `verify` finds a code that is not
+optimal, not monotone or without the exclusion property (`verify_exclusion`,
+run only on lengths of Kraft sum 1, the ones that make a full tree), or when
+`bench` finds a code that is not optimal; 2 on every usage, parse or file
+error, printed as one line ``mrcode: error: <file>: <reason>``.  The rules
+an input must meet are the library's.  Weight files hold one positive
+decimal integer per line; length files one integer per line, aligned with
+the weight file.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from . import codec, generators
 from .core import (CodeLengthProfile, ComparisonCounter, WeightList,
                    check_length_range, code_cost, distinct_length_count,
-                   kraft_sum, monotone)
+                   kraft_sum, monotone, verify_exclusion)
 from .construct import ConstructionMode, construct_lengths
 from .oracle import huffman_lengths, huffman_sorted_lengths
 
@@ -112,12 +115,14 @@ def cmd_verify(args) -> int:
     mono = monotone(weights, profile)
     oracle_cost = code_cost(weights, huffman_lengths(weights))
     expected = Fraction(1, 2) if len(weights) == 1 else Fraction(1)
+    exclusion = ks == expected and verify_exclusion(weights, profile)[0]
     optimal = ks == expected and cost == oracle_cost
     print(f"kraft={ks}")
     print(f"cost={cost}")
     print(f"monotone={'yes' if mono else 'no'}")
+    print(f"exclusion={'yes' if exclusion else 'no'}")
     print(f"optimal={'yes' if optimal else 'no'} (oracle cost {oracle_cost})")
-    return 0 if optimal and mono else 1
+    return 0 if optimal and mono and exclusion else 1
 
 
 def cmd_gen(args) -> int:

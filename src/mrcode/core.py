@@ -75,19 +75,6 @@ def _block_totals(vals: Sequence[int]) -> tuple[int, ...]:
     return (0, *accumulate(sum(vals[i:i + _BLOCK]) for i in range(0, len(vals), _BLOCK)))
 
 
-def _check_items(items: Iterable[tuple]) -> set[int]:
-    """Raises for the first faulty (value, index) pair in input order;
-    returns the indices."""
-    seen = set()
-    for v, i in items:
-        if not 1 <= (v := _as_int(v, "weight")) <= MAX_WEIGHT:
-            raise ValueError(f"weight {v} out of range [1, 2^63-1]")
-        if (i := _as_int(i, "weight index")) in seen:
-            raise ValueError(f"duplicate weight index {i}")
-        seen.add(i)
-    return seen
-
-
 def _passes(vals: tuple[int, ...], idx: tuple[int, ...] | None, sorted_flag: bool) -> bool:
     """True iff ints `vals` with indices `idx` (None: the positions) pass
     every check of a `WeightList`, by C-level iteration."""
@@ -105,8 +92,15 @@ def _passes(vals: tuple[int, ...], idx: tuple[int, ...] | None, sorted_flag: boo
 
 
 def _raise_fault(items: Iterable[tuple]) -> NoReturn:
-    """Raises the error of (value, index) pairs that fail `_passes`."""
-    seen = _check_items(items)
+    """Raises the error of (value, index) pairs that fail `_passes`: the
+    first faulty pair in input order names it, if there is one."""
+    seen = set()
+    for v, i in items:
+        if not 1 <= (v := _as_int(v, "weight")) <= MAX_WEIGHT:
+            raise ValueError(f"weight {v} out of range [1, 2^63-1]")
+        if (i := _as_int(i, "weight index")) in seen:
+            raise ValueError(f"duplicate weight index {i}")
+        seen.add(i)
     if seen != set(range(len(seen))):
         raise ValueError("weight indices must cover 0..n-1 exactly once")
     raise ValueError("sorted_flag set but sequence is not non-decreasing in (value, index) order")
@@ -126,7 +120,7 @@ class WeightList:
     Both constructors pass every value and index through `operator.index`
     and keep the ints, so a float, str, `Decimal` or NaN raises
     `TypeError` and a ``bool`` is stored as an ``int``.  Values lie in
-    1..2^63-1 and the indices cover 0..n-1 once each; `_check_items` names
+    1..2^63-1 and the indices cover 0..n-1 once each; `_raise_fault` names
     the first fault in input order.  Every list holds its values by
     position as a tuple of ints (``_vals``), which a presorted
     construction reads, and its own ``items`` of ints, made at once or,
@@ -194,9 +188,6 @@ class WeightList:
     @cached_property
     def _psum(self) -> tuple[int, ...]:
         return _block_totals(self._vals)
-
-    def values(self) -> list[int]:
-        return list(self._vals)
 
 
 class RunLengths:
@@ -324,32 +315,6 @@ class CodeLengthProfile:
 
 
 @dataclass(frozen=True)
-class LevelState:
-    """Leaf-bearing levels of a partially or fully built tree.
-
-    Maps each level to its leaves; internal nodes are never stored, they
-    are implied by sorted pairing of the nodes one level down.
-    """
-
-    levels: Mapping[int, tuple[WeightItem, ...]]
-
-    def __post_init__(self) -> None:
-        for lv, items in self.levels.items():
-            if lv < 0:
-                raise ValueError("levels are non-negative")
-            if not items:
-                raise ValueError(f"level {lv} present but empty")
-        _check_items(chain.from_iterable(self.levels.values()))
-
-    @classmethod
-    def from_lists(cls, levels: Mapping[int, Sequence[WeightItem]]) -> "LevelState":
-        return cls({lv: tuple(items) for lv, items in levels.items() if items})
-
-    def top_level(self) -> int:
-        return max(self.levels)
-
-
-@dataclass(frozen=True)
 class ConstructionStats:
     """Instrumentation of one construction run.
 
@@ -456,7 +421,7 @@ def code_cost(weights: WeightList, lengths: CodeLengthProfile) -> int:
     """Exact weighted length sum(w_i * l_i), index-aligned."""
     if len(weights) != len(lengths):
         raise ValueError("weights and lengths must have equal size")
-    ls = lengths.lengths
+    ls = tuple(lengths.lengths)  # one C-level pass, not a bisect per index of `RunLengths`
     return sum(it.value * ls[it.index] for it in weights.items)
 
 
@@ -468,9 +433,10 @@ def monotone(weights: WeightList, lengths: CodeLengthProfile) -> bool:
     """True iff a strictly larger weight never gets a longer codeword."""
     if len(weights) != len(lengths):
         raise ValueError("weights and lengths must have equal size")
+    ls = tuple(lengths.lengths)
     by_value: dict[int, list[int]] = {}
     for it in weights.items:
-        by_value.setdefault(it.value, []).append(lengths.lengths[it.index])
+        by_value.setdefault(it.value, []).append(ls[it.index])
     prev_min: int | None = None
     for value in sorted(by_value):
         lens = by_value[value]
@@ -480,59 +446,49 @@ def monotone(weights: WeightList, lengths: CodeLengthProfile) -> bool:
     return True
 
 
-def assignment_from_lengths(weights: WeightList, lengths: CodeLengthProfile) -> LevelState:
-    """Bottom-up level of each weight: longest codewords sit at level 0."""
+def verify_exclusion(weights: WeightList, lengths: CodeLengthProfile) -> tuple[bool, str | None]:
+    """Check that node values never decrease when moving up a level of the
+    code tree that `lengths` gives the weights.
+
+    A weight of length l sits at level ``max(lengths) - l`` and the root at
+    level ``max(lengths)``.  Internal node values are reconstructed level
+    by level using sorted pairing (consecutive nodes in the strict order
+    are siblings).  Returns (True, None) or (False, description of the
+    first violation).  Lengths whose Kraft sum is not 1 form no full
+    binary tree: the pairing meets an odd node count below the root or
+    more than one node at it and raises InvalidAssignmentError, which is
+    distinct from a False verdict (a violation on a lower level is still
+    reported as one).  A profile that is not one length per weight raises
+    `ValueError`, as `code_cost` does.
+
+    O(n log n): one sort per level, over the at most 2n - 1 nodes of the
+    tree in all; a verifier only, never on the construction hot path.
+    """
     if len(weights) != len(lengths):
         raise ValueError("weights and lengths must have equal size")
-    top = max(lengths.lengths)
-    levels: dict[int, list[WeightItem]] = {}
-    for it in weights.items:
-        levels.setdefault(top - lengths.lengths[it.index], []).append(it)
-    return LevelState.from_lists(levels)
-
-
-def verify_exclusion(weights: WeightList, assignment: LevelState) -> tuple[bool, str | None]:
-    """Check that node values never decrease when moving up a level.
-
-    Internal node values are reconstructed level by level using sorted
-    pairing (consecutive nodes in the strict order are siblings).  Returns
-    (True, None) or (False, description of the first violation).  A level
-    distribution that cannot form a full binary tree raises
-    InvalidAssignmentError, which is distinct from a False verdict.
-
-    O(n log n); a verifier only, never on the construction hot path.
-    """
-    assigned = sorted(it.index for items in assignment.levels.values() for it in items)
-    if assigned != sorted(it.index for it in weights.items):
-        raise InvalidAssignmentError("assignment does not cover the weights exactly")
-    n = len(weights)
-    if n == 1:
+    if len(weights) == 1:
         return True, None
-
-    top = assignment.top_level()
+    ls = tuple(lengths.lengths)
+    root = max(ls)
     # nodes are (value, min original index); leaves and internals compare alike
-    internals: list[tuple[int, int]] = []
+    leaves: dict[int, list[tuple[int, int]]] = {}
+    for v, i in weights.items:
+        leaves.setdefault(root - ls[i], []).append((v, i))
+    nodes: list[tuple[int, int]] = []
     max_below: tuple[int, int] | None = None  # (value, level) for messages
-    level = 0
-    while True:
-        leaves = [(it.value, it.index) for it in assignment.levels.get(level, ())]
-        nodes = sorted(internals + leaves)
-        if nodes:
-            if max_below is not None and nodes[0][0] < max_below[0]:
-                return False, (f"level {level}: node value {nodes[0][0]} is smaller "
-                               f"than value {max_below[0]} at level {max_below[1]}")
-            if max_below is None or nodes[-1][0] > max_below[0]:
-                max_below = (nodes[-1][0], level)
-        if level >= top:
-            if len(nodes) == 1:
-                return True, None
-            if len(nodes) & (len(nodes) - 1):
-                raise InvalidAssignmentError(
-                    f"level {level}: {len(nodes)} nodes above the top leaf level "
-                    f"cannot pair into a full binary tree")
+    # node counts halve between leaf-bearing levels and an odd count stops
+    # the loop, so it runs O(k log n) times, however long the longest length
+    for level in range(root):
+        nodes = sorted(nodes + leaves.get(level, []))
+        if max_below is not None and nodes[0][0] < max_below[0]:
+            return False, (f"level {level}: node value {nodes[0][0]} is smaller "
+                           f"than value {max_below[0]} at level {max_below[1]}")
+        if max_below is None or nodes[-1][0] > max_below[0]:
+            max_below = (nodes[-1][0], level)
         if len(nodes) % 2:
             raise InvalidAssignmentError(
-                f"level {level}: odd node count {len(nodes)} below the top level")
-        internals = [(nodes[i][0] + nodes[i + 1][0], min(nodes[i][1], nodes[i + 1][1]))
-                     for i in range(0, len(nodes), 2)]
-        level += 1
+                f"level {level}: odd node count {len(nodes)} below the root")
+        nodes = [(a[0] + b[0], min(a[1], b[1])) for a, b in zip(nodes[::2], nodes[1::2])]
+    if len(nodes) != 1:
+        raise InvalidAssignmentError(f"{len(nodes)} nodes at the root's level {root}")
+    return True, None

@@ -13,9 +13,9 @@ import time
 import pytest
 
 from mrcode import (ComparisonCounter, ConstructionMode, WeightList,
-                    assignment_from_lengths, canonical_codes, code_cost,
-                    construct_lengths, decode, encode, huffman_lengths,
-                    kraft_sum, monotone, verify_exclusion)
+                    canonical_codes, code_cost, construct_lengths, decode,
+                    encode, huffman_lengths, kraft_sum, monotone,
+                    verify_exclusion)
 from mrcode import generators, split
 from mrcode.core import MAX_WEIGHT
 from oracles import (WORKED_COST, WORKED_LENGTH_COUNTS, WORKED_VALUES,
@@ -51,7 +51,7 @@ def small_corpus():
             profile, stats = construct_lengths(w, DETAILED)
             best_cost, _ = brute_force_optimal(w)
             budgeted += time.perf_counter() - t0
-            ok, _ = verify_exclusion(w, assignment_from_lengths(w, profile))
+            ok, _ = verify_exclusion(w, profile)
             records.append((code_cost(w, profile) == best_cost,
                             kraft_sum(profile) == 1,
                             stats.iterations, stats.distinct_lengths, ok))
@@ -74,7 +74,7 @@ def large_corpus():
         profile, stats = construct_lengths(w, DETAILED)
         greedy = huffman_lengths(w)
         budgeted += time.perf_counter() - t0
-        ok, _ = verify_exclusion(w, assignment_from_lengths(w, profile))
+        ok, _ = verify_exclusion(w, profile)
         records.append((code_cost(w, profile) == code_cost(w, greedy),
                         kraft_sum(profile) == 1,
                         stats.iterations, stats.distinct_lengths, ok))
@@ -166,7 +166,7 @@ def test_exclusion_verified_everywhere(small_corpus, large_corpus):
     w = WeightList.from_values(WORKED_VALUES)
     for mode in (DETAILED, BASIC):
         profile, _ = construct_lengths(w, mode)
-        ok, msg = verify_exclusion(w, assignment_from_lengths(w, profile))
+        ok, msg = verify_exclusion(w, profile)
         assert ok, msg
         checked += 1
     print(f"\nPASS exclusion-verified: final assignments of {checked} runs "

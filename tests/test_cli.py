@@ -56,6 +56,7 @@ def test_all_algorithms_verify(algo, tmp_path, capsys):
     assert main(["verify", "--weights", str(wf), "--lengths", str(lf)]) == 0
     out = capsys.readouterr().out
     assert "kraft=1\n" in out and "optimal=yes" in out
+    assert "monotone=yes\nexclusion=yes\n" in out
 
 
 def test_lengths_sorted_flag_validates(tmp_path, capsys):
@@ -110,10 +111,27 @@ def test_verify_rejects_tampering(tmp_path, capsys):
     lengths[0] += 1
     write_lines(lf, lengths)
     assert main(["verify", "--weights", str(wf), "--lengths", str(lf)]) == 1
-    assert "kraft=" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "kraft=" in out
+    # a Kraft sum other than 1 makes no full tree: a verdict, not an error
+    assert "exclusion=no\n" in out
     lengths[0] -= 2
     write_lines(lf, lengths)
     assert main(["verify", "--weights", str(wf), "--lengths", str(lf)]) == 1
+    assert "exclusion=no\n" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_code_without_the_exclusion_property(tmp_path, capsys):
+    # Kraft sum 1 and monotone, cost 15 against 14: the two lightest
+    # weights pair into a node of value 3 at level 1, and a weight 2 sits
+    # at level 2 above it
+    wf = tmp_path / "w.txt"
+    lf = tmp_path / "l.txt"
+    write_lines(wf, [1, 2, 2, 2])
+    write_lines(lf, [3, 3, 2, 1])
+    assert main(["verify", "--weights", str(wf), "--lengths", str(lf)]) == 1
+    assert capsys.readouterr().out == ("kraft=1\ncost=15\nmonotone=yes\nexclusion=no\n"
+                                       "optimal=no (oracle cost 14)\n")
 
 
 def test_verify_rejects_lengths_out_of_range(tmp_path, capsys):
@@ -234,7 +252,7 @@ def test_bench_rejects_a_row_that_is_not_optimal(tmp_path, monkeypatch, capsys):
     # weight is fast but wrong; bench still writes its rows, then exits 1
     def swapped(weights, mode):
         profile, stats = construct_lengths(weights, mode)
-        values = weights.values()
+        values = [it.value for it in weights.items]
         lo, hi = values.index(min(values)), values.index(max(values))
         lengths = list(profile.lengths)
         lengths[lo], lengths[hi] = lengths[hi], lengths[lo]

@@ -10,10 +10,10 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrcode import (ComparisonCounter, ConstructionMode, LevelState,
-                    WeightItem, WeightList, assignment_from_lengths, code_cost,
-                    construct_lengths, distinct_length_count, huffman_lengths,
-                    kraft_sum, monotone, node_count, verify_exclusion)
+from mrcode import (CodeLengthProfile, ComparisonCounter, ConstructionMode,
+                    WeightItem, WeightList, code_cost, construct_lengths,
+                    distinct_length_count, huffman_lengths, kraft_sum,
+                    monotone, node_count, verify_exclusion)
 from mrcode import construct, core, generators, split
 from mrcode.construct import PendingPool
 from oracles import WORKED_COST, WORKED_LENGTH_COUNTS, WORKED_VALUES, slice_from_levels
@@ -74,23 +74,23 @@ def test_assign_level0_strict_threshold():
 
 def worked_state_level1():
     w = worked_weights().items
-    return LevelState.from_lists({0: w[0:20], 1: w[20:25]})
+    return {0: w[0:20], 1: w[20:25]}
 
 
 def worked_state_level2():
     w = worked_weights().items
-    return LevelState.from_lists({
+    return {
         0: list(w[0:10]) + list(w[10:18]),
         1: list(w[18:20]) + list(w[20:25]),
         2: list(w[25:30]),
-    })
+    }
 
 
 def test_count_nodes_worked_example():
     w = worked_weights().items
     assert node_count(0, slice_from_levels({0: w[0:20]})) == 20
-    assert node_count(1, slice_from_levels(worked_state_level1().levels)) == 15
-    assert node_count(2, slice_from_levels(worked_state_level2().levels)) == 13
+    assert node_count(1, slice_from_levels(worked_state_level1())) == 15
+    assert node_count(2, slice_from_levels(worked_state_level2())) == 13
 
 
 # --------------------------------------------------------------- next level
@@ -134,7 +134,7 @@ def test_maintain_kraft_terminal_power_of_two():
     for _, snaps, stats in snapshot_runs(WORKED_VALUES):
         before = {lv: values_at(snaps[-2], lv) for lv in snaps[-2]}
         assert before == {lv: sorted(it.value for it in items)
-                          for lv, items in worked_state_level2().levels.items()}
+                          for lv, items in worked_state_level2().items()}
         assert len(stats.trace) == 4 and stats.trace[-1] == (2, 0, 3)
         assert values_at(snaps[-1], 0) == [2] * 10
         assert values_at(snaps[-1], 1) == [3] * 10 + [5] * 3
@@ -729,8 +729,23 @@ def test_outputs_monotone_and_exclusion_verified():
         w = WeightList.from_values(values)
         profile, _ = construct_lengths(w, DETAILED)
         assert monotone(w, profile)
-        ok, msg = verify_exclusion(w, assignment_from_lengths(w, profile))
+        ok, msg = verify_exclusion(w, profile)
         assert ok, msg
+        # a presorted construction's run-backed lengths read as their tuple
+        ws = WeightList.from_values(sorted(values), sorted_flag=True)
+        runs, _ = construct_lengths(ws, DETAILED)
+        assert type(runs.lengths) is core.RunLengths
+        for check in (code_cost, monotone, verify_exclusion):
+            assert check(ws, runs) == check(ws, CodeLengthProfile(tuple(runs.lengths)))
+        assert verify_exclusion(ws, runs) == (True, None)
+    # run-backed lengths 3 3 2 1 for 1 2 2 2: Kraft sum 1 and monotone, but
+    # not optimal, and the pairs of level 0 outweigh a leaf of level 2
+    ws = WeightList.from_values([1, 2, 2, 2], sorted_flag=True)
+    runs = core.CodeLengthProfile._from_runs(((3, 0, 2), (2, 2, 3), (1, 3, 4)))
+    for p in (runs, CodeLengthProfile(tuple(runs.lengths))):
+        assert (code_cost(ws, p), monotone(ws, p)) == (15, True)
+        assert verify_exclusion(ws, p) == (
+            False, "level 2: node value 2 is smaller than value 3 at level 1")
 
 
 def test_length_class_occupies_two_adjacent_levels():
@@ -841,7 +856,7 @@ def test_pool_counted_scans():
 def test_pool_sorted_cursor_is_cheap():
     cnt = ComparisonCounter()
     w = WeightList.from_values(list(range(1, 101)), sorted_flag=True)
-    pool = PendingPool(w.items, w.values(), cnt)
+    pool = PendingPool(w.items, [it.value for it in w.items], cnt)
     assert pool.min_item().value == 1
     assert cnt.count == 0
     assert pool.take_below(51) == 50 and len(pool) == 50

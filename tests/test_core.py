@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mrcode
-from mrcode import (CodeLengthProfile, ConstructionMode, InvalidAssignmentError, LevelState,
-                    WeightItem, WeightList, assignment_from_lengths,
-                    code_cost, construct_lengths, distinct_length_count,
-                    generators, kraft_sum, monotone, verify_exclusion)
+from mrcode import (CodeLengthProfile, ConstructionMode, InvalidAssignmentError,
+                    WeightItem, WeightList, code_cost, construct_lengths,
+                    distinct_length_count, generators, kraft_sum, monotone,
+                    verify_exclusion)
 from mrcode import core
 from mrcode.core import MAX_WEIGHT
 from oracles import WORKED_COST, WORKED_VALUES
@@ -270,7 +270,7 @@ def test_weight_list_validation():
     rejects("weight 0 out of range [1, 2^63-1]",
             lambda: WeightList((WeightItem(0, 1), WeightItem(1, 1))))
     # indices that permute the positions are valid, presorted or not
-    assert WeightList((WeightItem(2, 1), WeightItem(1, 0))).values() == [2, 1]
+    assert [it.value for it in WeightList((WeightItem(2, 1), WeightItem(1, 0))).items] == [2, 1]
     assert len(WeightList((WeightItem(1, 1), WeightItem(2, 0)), sorted_flag=True)) == 2
 
 
@@ -292,14 +292,14 @@ def test_weight_list_rejects_non_integers():
         WeightList.from_values(iter([1, 2.5, "x"]))
     with pytest.raises(TypeError, match=r"^weight nan is not an integer$"):
         WeightList((WeightItem(5, 0), WeightItem(float("nan"), 1)))
-    assert WeightList.from_values([True, 2, IntLike(5)]).values() == [1, 2, 5]
+    assert [it.value for it in WeightList.from_values([True, 2, IntLike(5)]).items] == [1, 2, 5]
     # the items constructor applies the same rule to each index
     for bad in (0.0, "0", 1.5):
         with pytest.raises(TypeError, match=f"^weight index {re.escape(repr(bad))} "
                                             "is not an integer$"):
             WeightList((WeightItem(1, bad),))
     with pytest.raises(TypeError, match=r"^weight 1\.5 is not an integer$"):
-        LevelState({0: (WeightItem(1.5, 0),)})
+        WeightList((WeightItem(1.5, 0),))
 
 
 _MIXED_VALUES = st.one_of(
@@ -345,7 +345,7 @@ def test_both_constructors_apply_one_rule(values, presort, sorted_flag):
     if w is not None:
         assert w == ref and hash(w) == hash(ref) and repr(w) == repr(ref)
         for got in (w, ref):
-            assert all(type(v) is int for v in got.values())
+            assert all(type(v) is int for v in got._vals)
             assert all(type(v) is int and type(i) is int for v, i in got.items)
 
 
@@ -389,7 +389,8 @@ def test_values_in_list_matches_items_list():
     for values, sorted_flag in cases:
         w = WeightList.from_values(values, sorted_flag)
         assert ("items" in vars(w)) == (not sorted_flag)  # presorted: made when read
-        assert len(w) == len(values) and w.values() == values and w.positional
+        assert len(w) == len(values) and w.positional
+        assert [it.value for it in w.items] == values
         ref = WeightList(tuple(WeightItem(v, i) for i, v in enumerate(values)), sorted_flag)
         assert ref == w and w == ref and hash(w) == hash(ref) and repr(w) == repr(ref)
         assert w.items == ref.items and type(w.items[0]) is WeightItem
@@ -416,14 +417,14 @@ def test_from_values_copies_its_input():
             w.items
         src[0] = 10**6
         src.append(1)
-        assert w.values() == values
+        assert [it.value for it in w.items] == values
         assert w.items == tuple(WeightItem(v, i) for i, v in enumerate(values))
         assert construct_lengths(w) == expected
 
 
 def test_sorted_copy():
     w = WeightList.from_values([5, 1, 3]).sorted_copy()
-    assert w.sorted_flag and w.values() == [1, 3, 5]
+    assert w.sorted_flag and [it.value for it in w.items] == [1, 3, 5]
 
 
 def test_monotone():
@@ -436,40 +437,35 @@ def test_monotone():
 
 
 def worked_assignment():
-    w = WeightList.from_values(WORKED_VALUES)
-    levels = {
-        0: [it for it in w.items if it.value == 2],
-        1: [it for it in w.items if it.value == 3] + [it for it in w.items
-                                                      if it.value == 5][:3],
-        2: [it for it in w.items if it.value == 5][3:] + [it for it in w.items
-                                                          if it.value == 9],
-    }
-    return w, LevelState.from_lists(levels)
+    """The worked example and its final lengths, 6 - lv for a weight at
+    level lv: the 2s at level 0, the 3s and the first three 5s at level 1,
+    the other 5s and the 9s at level 2."""
+    lengths = [{2: 6, 3: 5, 5: 4, 9: 4}[v] for v in WORKED_VALUES]
+    for i in [i for i, v in enumerate(WORKED_VALUES) if v == 5][:3]:
+        lengths[i] = 5
+    return WeightList.from_values(WORKED_VALUES), lengths
 
 
 def test_exclusion_worked_example_final_assignment():
-    w, state = worked_assignment()
-    ok, msg = verify_exclusion(w, state)
+    w, lengths = worked_assignment()
+    ok, msg = verify_exclusion(w, profile(*lengths))
     assert ok, msg
 
 
 def test_exclusion_two_equal_weights():
     w = WeightList.from_values([7, 7])
-    ok, _ = verify_exclusion(w, LevelState.from_lists({0: list(w.items)}))
+    ok, _ = verify_exclusion(w, profile(1, 1))
     assert ok
 
 
 def test_exclusion_detects_misplaced_weight():
     # swapping a 9 down to level 0 (and a 2 up, to keep the counts pairable)
     # puts a 9 below the value-4 internals that level 0 produces
-    w, state = worked_assignment()
-    levels = {lv: list(items) for lv, items in state.levels.items()}
-    nine = levels[2].pop()
-    two = levels[0].pop(0)
-    assert (nine.value, two.value) == (9, 2)
-    levels[0].append(nine)
-    levels[2].append(two)
-    ok, msg = verify_exclusion(w, LevelState.from_lists(levels))
+    w, lengths = worked_assignment()
+    nine, two = len(WORKED_VALUES) - 1, 0  # the last 9 and the first 2
+    assert (WORKED_VALUES[nine], WORKED_VALUES[two]) == (9, 2)
+    lengths[nine], lengths[two] = lengths[two], lengths[nine]
+    ok, msg = verify_exclusion(w, profile(*lengths))
     assert not ok
     assert "smaller" in msg
 
@@ -477,35 +473,24 @@ def test_exclusion_detects_misplaced_weight():
 def test_exclusion_rejects_unpairable_counts():
     # moving a single weight down breaks the parity a full tree needs; that
     # is a structural error, not a False verdict
-    w, state = worked_assignment()
-    levels = {lv: list(items) for lv, items in state.levels.items()}
-    levels[0] = levels[0] + [levels[2].pop()]
+    w, lengths = worked_assignment()
+    lengths[-1] = 6  # the last 9, from level 2 to level 0
     with pytest.raises(InvalidAssignmentError):
-        verify_exclusion(w, LevelState.from_lists(levels))
+        verify_exclusion(w, profile(*lengths))
 
 
 def test_exclusion_structural_error_is_not_false():
     w = WeightList.from_values([1, 2, 3])
-    state = LevelState.from_lists({0: list(w.items)})  # 3 leaves cannot pair
-    with pytest.raises(InvalidAssignmentError):
-        verify_exclusion(w, state)
+    with pytest.raises(InvalidAssignmentError):  # 3 leaves cannot pair
+        verify_exclusion(w, profile(2, 2, 2))
 
 
 def test_exclusion_requires_full_cover():
+    # one length per weight, as `code_cost` and `monotone` require
     w = WeightList.from_values([1, 2])
-    with pytest.raises(InvalidAssignmentError):
-        verify_exclusion(w, LevelState.from_lists({0: [w.items[0]]}))
-
-
-def test_assignment_from_lengths_round_trip():
-    w, state = worked_assignment()
-    lengths = [0] * len(w)
-    for lv, items in state.levels.items():
-        for it in items:
-            lengths[it.index] = 6 - lv
-    rebuilt = assignment_from_lengths(w, profile(*lengths))
-    assert {lv: sorted(items) for lv, items in rebuilt.levels.items()} == \
-           {lv: sorted(items) for lv, items in state.levels.items()}
+    for check in (verify_exclusion, code_cost, monotone):
+        with pytest.raises(ValueError, match="^weights and lengths must have equal size$"):
+            check(w, profile(1))
 
 
 def test_every_exported_name_resolves():
@@ -528,6 +513,13 @@ def test_every_exported_name_resolves():
     # a profile is made from lengths or, by a presorted construction, from
     # its runs (`_from_runs`); there is no third way
     assert not hasattr(CodeLengthProfile, "_checked")
+    # the exclusion checker takes the profile, and the tests read a list's
+    # values from its items
+    for name in ("LevelState", "assignment_from_lengths"):
+        assert name not in mrcode.__all__
+        assert not hasattr(mrcode, name)
+        assert not hasattr(mrcode.core, name)
+    assert not hasattr(WeightList, "values")
 
 
 def test_readme_library_example_runs():
