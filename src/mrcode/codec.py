@@ -223,10 +223,10 @@ def decode(payload: bytes, bit_count: int, table: CanonicalTable) -> list[int]:
     length), for every codeword of at most W bits.  A longer codeword reads
     max_length bits and bisects the left-justified limits of the lengths
     above W: at most k of them, k being the number of distinct codeword
-    lengths.  W (see `_window_bits`) grows with the stream, so a short
-    message builds a small window table, and none when every codeword is
-    longer than W.  Only the per-length fields of the table are read, so
-    a table of range groups costs nothing per symbol of the alphabet.
+    lengths; its window's entry reads (None, 0).  W (see `_window_bits`)
+    grows with the stream, so a short message builds a small window
+    table.  Only the per-length fields of the table are read, so a table
+    of range groups costs nothing per symbol of the alphabet.
     """
     if bit_count < 0:
         raise DecodeError(f"negative bit count {bit_count}")
@@ -246,15 +246,14 @@ def decode(payload: bytes, bit_count: int, table: CanonicalTable) -> list[int]:
     append = out.append
     pos = 0
     while pos < bit_count:
-        try:
-            sym, l = windows[bits[pos:pos + width]]
-        except KeyError:
+        sym, l = windows[bits[pos:pos + width]]
+        if not l:  # a codeword longer than W, or none
             v = int(bits[pos:pos + top], 2)
             i = bisect_right(limits, v)
             if i == len(limits):
                 raise DecodeError("bit run exceeds the longest codeword"
                                   if bit_count - pos > top else
-                                  "stream truncated inside a codeword") from None
+                                  "stream truncated inside a codeword")
             l = long_lengths[i]
             sym = by_rank[l][(v >> (top - l)) - first[l]]
         append(sym)
@@ -271,21 +270,21 @@ def _window_bits(max_length: int, bit_count: int) -> int:
                                min(WINDOW_MAX_BITS, bit_count.bit_length() - 4)))
 
 
-def _window_table(table: CanonicalTable, width: int) -> dict[str, tuple[int, int]]:
-    """Maps each `width`-bit string that starts with a codeword of at most
-    `width` bits to (symbol, codeword length).
+def _window_table(table: CanonicalTable, width: int) -> dict[str, tuple[int | None, int]]:
+    """Maps each `width`-bit string to (symbol, codeword length) when it
+    starts with a codeword of at most `width` bits, and to (None, 0) when
+    it starts a longer codeword or none.
 
     Canonical codewords in (length, symbol) order fill the windows from
-    all zeros upward with no gap, so entry j is the window of value j.
-    Empty when no codeword fits in `width` bits.
+    all zeros upward with no gap, so entry j is the window of value j, and
+    every window after the last short codeword is (None, 0).
     """
-    entries: list[tuple[int, int]] = []
+    entries: list[tuple[int | None, int]] = []
     for l in range(1, width + 1):
         span = 1 << (width - l)
         for entry in zip(table.groups[l], repeat(l)):
             entries += [entry] * span
-    if not entries:
-        return {}
+    entries += [(None, 0)] * ((1 << width) - len(entries))
     half = width // 2
     tails = _bit_strings(half)
     return dict(zip([head + tail for head in _bit_strings(width - half) for tail in tails],

@@ -224,13 +224,25 @@ def _assign_to_level(level: int, levels: _Levels, pool: PendingPool) -> int:
 def _compute_next_level(top: int, levels: _Levels, pool: PendingPool) -> int:
     """Next level that can receive weights: count the longest prefix of
     smallest-rank nodes at `top` whose total value stays within the minimum
-    remaining weight, then jump by the floor of its base-2 logarithm."""
+    remaining weight, then jump by the floor of its base-2 logarithm.  The
+    prefix is found by halving at `_fsa`'s node, one counted comparison a
+    step; on one presorted run of leaves that node is the lower median
+    leaf, so the halving runs on positions, with totals from block sums."""
     w = pool.min_item()
     cnt = pool.cnt
     window = levels.slice()
     remaining = w[0]
     absorbed = 0
     while window.n:
+        if levels.vals is not None and len(window.runs) == 1 and window.runs[0][0] == top:
+            _, lo, hi = window.runs[0]
+            start, bound = lo, levels.prefix(lo) + remaining
+            while lo < hi:
+                at = (lo + hi - 1) // 2  # the lower median leaf
+                cnt.count += 1
+                lo, hi = (at + 1, hi) if levels.prefix(at + 1) <= bound else (lo, at)
+            absorbed += lo - start
+            break
         alpha, chi, o1, o2 = _fsa(top, window, cnt)
         prefix_value = o1.total_value() + chi.total_value()
         cnt.count += 1

@@ -34,6 +34,11 @@ boundary of whichever run holds it, so a later selection need only
 partition the piece between the cuts around the rank it asks for.  Every
 selection still returns the same weight at the same position; only the
 order inside pieces not yet split differs, and with it the count.
+
+A presorted slice of one run ``(h, lo, hi)`` is sorted leaves, and each
+node at level h + gap is ``2^gap`` consecutive ones, so `_fsi` and
+`_rank_split` answer it in closed form, by position arithmetic: the same
+ranges the general search finds, which counts no comparison on it.
 """
 
 from __future__ import annotations
@@ -406,6 +411,10 @@ def _fsi(level: int, sl: LeafSlice, cnt: ComparisonCounter):
     This is the query the recursion ``_locate -> _fsi -> _fsa -> _locate``
     repeats, so its results are memoized for the store's lifetime, keyed
     by the context level and the slice's tuple of ranges.
+
+    A presorted slice of one run ``(h, lo, hi)`` of n leaves has the closed
+    form: with alpha = (n + 1) // 2, the node of rank ceil(alpha / span) is
+    ``[a, a + span)`` for ``a = lo + alpha - 1 - (alpha - 1) % span``.
     """
     runs = sl.runs
     if not runs:
@@ -419,8 +428,16 @@ def _fsi(level: int, sl: LeafSlice, cnt: ComparisonCounter):
     if out is not None:
         st.hits += 1
         return out
-    alpha, chi, o1, o2 = _fsa(h, sl, cnt)
     span = 1 << (level - h)
+    if st.vals is not None and len(runs) == 1:
+        _, lo, hi = runs[0]
+        alpha = (hi - lo + 1) // 2
+        a = lo + alpha - 1 - ((alpha - 1) & (span - 1))
+        if a + span <= hi:
+            out = st.memo[key] = (-(-alpha // span), _range(st, h, a, a + span),
+                                  _range(st, h, lo, a), _range(st, h, a + span, hi))
+            return out
+    alpha, chi, o1, o2 = _fsa(h, sl, cnt)
     off = (alpha - 1) & (span - 1)
     parts = [chi]
     if off:  # o1 holds the alpha - 1 nodes before the chosen one
@@ -439,7 +456,9 @@ def _fsi(level: int, sl: LeafSlice, cnt: ComparisonCounter):
 def _rank_split(level: int, sl: LeafSlice, t: int, cnt: ComparisonCounter,
                 nodes: int | None = None):
     """Split the slice's nodes at `level` after the t-th smallest rank;
-    `nodes`, if the caller knows it, is the slice's node count there."""
+    `nodes`, if the caller knows it, is the slice's node count there.  A
+    presorted slice of one run ``(h, lo, hi)`` is cut in closed form, at
+    ``lo + (t << (level - h))``."""
     if t == 0:
         return LeafSlice(sl.store, (), 0), sl
     total = node_count(level, sl) if nodes is None else nodes
@@ -447,5 +466,11 @@ def _rank_split(level: int, sl: LeafSlice, t: int, cnt: ComparisonCounter,
         return sl, LeafSlice(sl.store, (), 0)
     if not 0 < t < total:
         raise ValueError(f"rank {t} out of range 1..{total}")
+    st = sl.store
+    if st.vals is not None and len(sl.runs) == 1 and sl.runs[0][0] <= level:
+        h, lo, hi = sl.runs[0]
+        cut = lo + (t << (level - h))
+        if cut <= hi:
+            return _range(st, h, lo, cut), _range(st, h, cut, hi)
     _, _, first, rest = _locate(level, sl, t, total, cnt)
     return first, rest

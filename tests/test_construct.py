@@ -268,6 +268,69 @@ def test_example41_sorted_counts_grow_by_steps():
     assert all(0 < b - a <= 24 for a, b in zip(counts, counts[1:]))
 
 
+def test_presorted_example41_answers_sorted_runs_by_position(monkeypatch):
+    # on one sorted run of leaves the split queries and the next-level
+    # descent are position arithmetic, and the general search is left to
+    # the few slices that span levels; without the closed forms this input
+    # runs `_locate` 116 times and the driver's `_fsa` 33 times.  The list
+    # is built first: the generator runs a construction of its own
+    w = WeightList.from_values(sorted(generators.example41(65536, 0)), sorted_flag=True)
+    calls = {"locate": 0, "fsa": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(split, "_locate", counted("locate", split._locate))
+    monkeypatch.setattr(construct, "_fsa", counted("fsa", construct._fsa))
+    _, stats = construct_lengths(w, DETAILED)
+    assert (stats.weight_comparisons, stats.cache_hits) == (166, 4)
+    assert calls["locate"] <= 8 and calls["fsa"] <= 8
+
+
+def _next_level_by_engine(top, levels, pool):
+    """The next-level descent by the engine's `_fsa` on every window."""
+    cnt = pool.cnt
+    window, remaining, absorbed = levels.slice(), pool.min_item()[0], 0
+    while window.n:
+        alpha, chi, o1, o2 = split._fsa(top, window, cnt)
+        prefix_value = o1.total_value() + chi.total_value()
+        cnt.count += 1
+        if prefix_value <= remaining:
+            remaining -= prefix_value
+            absorbed += alpha
+            window = o2
+        else:
+            window = o1
+    return top + (absorbed.bit_length() - 1)
+
+
+def test_next_level_on_one_sorted_run_matches_the_engine():
+    # with every assigned weight on one presorted level, the next-level
+    # search halves positions instead of calling `_fsa`; it must give the
+    # engine's level with the engine's count, across block boundaries and
+    # with heavy ties
+    rng = random.Random(2407)
+    for _ in range(300):
+        placed = rng.randint(2, 3 * split._BLOCK)
+        vmax = rng.choice([1, 2, 3, 10**6])
+        values = sorted(rng.randint(1, vmax) for _ in range(placed))
+        # the smallest unplaced weight absorbs from two up to all of them
+        values.append(rng.randint(max(values[0] + values[1], values[-1]), sum(values)))
+        top = rng.randint(0, 3)
+        results = []
+        for next_level in (construct._compute_next_level, _next_level_by_engine):
+            w = WeightList.from_values(values, sorted_flag=True)
+            pool = PendingPool(split.Positions(w._vals), w._vals, ComparisonCounter())
+            levels = construct._Levels(pool, core._block_totals(w._vals))
+            levels.add(top, placed)
+            pool.cur = placed
+            results.append((next_level(top, levels, pool), pool.cnt.count))
+        assert results[0] == results[1]
+
+
 def test_sorted_two_element_comparison_budget():
     w = WeightList.from_values([3, 5], sorted_flag=True)
     _, stats = construct_lengths(w, DETAILED)

@@ -431,3 +431,52 @@ def test_selection_between_known_cuts_makes_no_comparison():
     assert select(0, 40, 30) == ranked[29]
     assert store.arr[:25] == arr[:25] and cnt.count > count
     assert store.cuts == [0, 19, 20, 24, 25, 29, 30, 40]
+
+
+def test_sorted_run_closed_forms_match_materialization():
+    # on one presorted run every node above its level is a block of
+    # consecutive leaves, so `_fsi` and `_rank_split` answer by position
+    # arithmetic: each answer must be the materialized one, hold the same
+    # ranges as the engine's answer over the same list held unsorted, and
+    # count no comparison
+    rng = random.Random(2406)
+    for n in [*range(2, 41), *rng.sample(range(41, 301), 24), 256, 300]:
+        vmax = rng.choice([1, 2, 3, 10**6])
+        order = list(range(n))
+        rng.shuffle(order)
+        items = sorted(WeightItem(rng.randint(1, vmax), i) for i in order)
+        # the run starts past weights of a lower level
+        h, lo = rng.randint(0, 2), rng.randint(0, 5)
+        arr = [WeightItem(0, n + i) for i in range(lo)] + items
+        vals = [it.value for it in arr]
+        runs = ((h, lo, lo + n),)
+        sl = LeafSlice(Store(arr, vals, _block_totals(vals)), runs, n)
+        engine = LeafSlice(Store(list(arr), None), runs, n)
+        cnt, engine_cnt = ComparisonCounter(), ComparisonCounter()
+        for level in range(h, h + n.bit_length()):
+            span = 1 << (level - h)
+            if n % span:
+                continue
+            nodes = materialize({h: items}, level)
+            if level > h:
+                alpha = (n + 1) // 2
+                pos, chi, lower, upper = out = split._fsi(level, sl, cnt)
+                assert pos == -(-alpha // span)
+                assert sorted(chi.all_items()) == sorted(nodes[pos - 1][2])
+                assert sorted(lower.all_items()) == \
+                    sorted(it for nd in nodes[:pos - 1] for it in nd[2])
+                assert sorted(upper.all_items()) == \
+                    sorted(it for nd in nodes[pos:] for it in nd[2])
+                got = split._fsi(level, engine, engine_cnt)
+                assert got[0] == pos and [x.runs for x in got[1:]] == [x.runs for x in out[1:]]
+                hits = sl.store.hits
+                assert split._fsi(level, sl, cnt) is out and sl.store.hits == hits + 1
+            for t in range(len(nodes) + 1):
+                first, rest = split._rank_split(level, sl, t, cnt)
+                assert sorted(first.all_items()) == \
+                    sorted(it for nd in nodes[:t] for it in nd[2])
+                assert sorted(rest.all_items()) == \
+                    sorted(it for nd in nodes[t:] for it in nd[2])
+                got = split._rank_split(level, engine, t, engine_cnt)
+                assert [x.runs for x in got] == [first.runs, rest.runs]
+        assert cnt.count == 0
