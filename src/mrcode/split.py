@@ -35,10 +35,14 @@ partition the piece between the cuts around the rank it asks for.  Every
 selection still returns the same weight at the same position; only the
 order inside pieces not yet split differs, and with it the count.
 
-A presorted slice of one run ``(h, lo, hi)`` is sorted leaves, and each
-node at level h + gap is ``2^gap`` consecutive ones, so `_fsi` and
-`_rank_split` answer it in closed form, by position arithmetic: the same
-ranges the general search finds, which counts no comparison on it.
+A slice of one run ``(h, lo, hi)`` is leaves only, and the general search
+on it reduces to at most three leaf selections whose positions are known
+in advance: once they leave each selected weight at its rank position,
+each node at level h + gap is ``2^gap`` consecutive positions.  So `_fsi`
+and `_rank_split` make those `_leaf_select` calls on an unsorted store, in
+the order the search makes them, which select, cut and count as the
+search's calls did, and return the ranges by position arithmetic.  A
+presorted run is in rank order already, and they skip the calls.
 """
 
 from __future__ import annotations
@@ -412,9 +416,12 @@ def _fsi(level: int, sl: LeafSlice, cnt: ComparisonCounter):
     repeats, so its results are memoized for the store's lifetime, keyed
     by the context level and the slice's tuple of ranges.
 
-    A presorted slice of one run ``(h, lo, hi)`` of n leaves has the closed
-    form: with alpha = (n + 1) // 2, the node of rank ceil(alpha / span) is
-    ``[a, a + span)`` for ``a = lo + alpha - 1 - (alpha - 1) % span``.
+    A slice of one run ``(h, lo, hi)`` of n leaves has the closed form:
+    with alpha = (n + 1) // 2, the node of rank ceil(alpha / span) is
+    ``[a, a + span)`` for ``a = lo + alpha - 1 - (alpha - 1) % span``.  The
+    search selects rank alpha of the run, then rank ``a - lo`` below it and
+    rank ``a + span - at - 1`` above it, where the widening cuts inside the
+    run; the closed form makes the same selections.
     """
     runs = sl.runs
     if not runs:
@@ -429,11 +436,18 @@ def _fsi(level: int, sl: LeafSlice, cnt: ComparisonCounter):
         st.hits += 1
         return out
     span = 1 << (level - h)
-    if st.vals is not None and len(runs) == 1:
+    if len(runs) == 1:
         _, lo, hi = runs[0]
         alpha = (hi - lo + 1) // 2
         a = lo + alpha - 1 - ((alpha - 1) & (span - 1))
         if a + span <= hi:
+            at = lo + alpha - 1
+            if st.vals is None:  # a presorted run is in rank order already
+                _leaf_select(st, lo, hi, alpha, cnt)
+                if lo < a < at:
+                    _leaf_select(st, lo, at, a - lo, cnt)
+                if at + 1 < a + span < hi:
+                    _leaf_select(st, at + 1, hi, a + span - at - 1, cnt)
             out = st.memo[key] = (-(-alpha // span), _range(st, h, a, a + span),
                                   _range(st, h, lo, a), _range(st, h, a + span, hi))
             return out
@@ -457,8 +471,9 @@ def _rank_split(level: int, sl: LeafSlice, t: int, cnt: ComparisonCounter,
                 nodes: int | None = None):
     """Split the slice's nodes at `level` after the t-th smallest rank;
     `nodes`, if the caller knows it, is the slice's node count there.  A
-    presorted slice of one run ``(h, lo, hi)`` is cut in closed form, at
-    ``lo + (t << (level - h))``."""
+    slice of one run ``(h, lo, hi)`` is cut in closed form, at ``cut = lo +
+    (t << (level - h))``, after the one selection the search makes, of rank
+    ``cut - lo`` in the run."""
     if t == 0:
         return LeafSlice(sl.store, (), 0), sl
     total = node_count(level, sl) if nodes is None else nodes
@@ -467,10 +482,12 @@ def _rank_split(level: int, sl: LeafSlice, t: int, cnt: ComparisonCounter,
     if not 0 < t < total:
         raise ValueError(f"rank {t} out of range 1..{total}")
     st = sl.store
-    if st.vals is not None and len(sl.runs) == 1 and sl.runs[0][0] <= level:
+    if len(sl.runs) == 1 and sl.runs[0][0] <= level:
         h, lo, hi = sl.runs[0]
         cut = lo + (t << (level - h))
         if cut <= hi:
+            if st.vals is None:
+                _leaf_select(st, lo, hi, cut - lo, cnt)
             return _range(st, h, lo, cut), _range(st, h, cut, hi)
     _, _, first, rest = _locate(level, sl, t, total, cnt)
     return first, rest

@@ -16,13 +16,24 @@ def test_families_are_deterministic():
 
 
 def test_example41_shape():
-    values = generators.example41(16, seed=1)
-    assert len(values) == 26
-    w = WeightList.from_values(values)
-    profile, stats = construct_lengths(w)
-    assert stats.distinct_lengths == 3
-    counts = {l: profile.lengths.count(l) for l in set(profile.lengths)}
-    assert counts == {6: 16, 5: 8, 2: 2}
+    # n weights of length lg n + 2, n/2 of length lg n + 1 and two of
+    # length 2, at optimal cost, presorted and (up to n = 1024) as
+    # generated; the generator itself runs no construction
+    for n in (4, 16, 1024, 65536):
+        lg = n.bit_length() - 1
+        for seed in (0, 1):
+            values = generators.example41(n, seed)
+            assert len(values) == 3 * n // 2 + 2
+            inputs = [WeightList.from_values(sorted(values), sorted_flag=True)]
+            if n <= 1024:
+                inputs.append(WeightList.from_values(values))
+            for w in inputs:
+                profile, stats = construct_lengths(w)
+                assert stats.distinct_lengths == 3
+                lengths = tuple(profile.lengths)
+                counts = {l: lengths.count(l) for l in set(lengths)}
+                assert counts == {lg + 2: n, lg + 1: n // 2, 2: 2}, (n, seed)
+                assert code_cost(w, profile) == code_cost(w, huffman_lengths(w))
 
 
 def test_example41_rejects_bad_n():

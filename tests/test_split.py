@@ -480,3 +480,65 @@ def test_sorted_run_closed_forms_match_materialization():
                 got = split._rank_split(level, engine, t, engine_cnt)
                 assert [x.runs for x in got] == [first.runs, rest.runs]
         assert cnt.count == 0
+
+
+def _split_by_search(level, sl, t, cnt):
+    """The first t nodes of a one-run slice at its own level and the
+    rest, by the general search."""
+    empty = LeafSlice(sl.store, (), 0)
+    if t == 0:
+        return empty, sl
+    if t == sl.n:
+        return sl, empty
+    return split._locate(level, sl, t, sl.n, cnt)[2:]
+
+
+def _fsi_by_search(level, sl, cnt):
+    """`_fsi` on a one-run slice by the general search: the splitting leaf
+    one level down, widened to its whole node by two rank splits."""
+    st, h = sl.store, sl.runs[0][0]
+    span = 1 << (level - h)
+    alpha, chi, o1, o2 = split._locate(h, sl, sl.n // 2, None, cnt)
+    off = (alpha - 1) % span
+    o1, below = _split_by_search(h, o1, alpha - 1 - off, cnt)
+    above, o2 = _split_by_search(h, o2, span - off - 1, cnt)
+    return -(-alpha // span), split._union(st, [below, chi, above]), o1, o2
+
+
+def test_unsorted_run_closed_forms_match_the_search():
+    # on one unsorted run, `_fsi` and `_rank_split` make the selections
+    # the general search makes, in its order, and return its ranges: after
+    # every query both stores hold the same order, cuts, cut hits and count
+    rng = random.Random(2507)
+    for n in [*range(2, 41), *rng.sample(range(41, 301), 24), 256, 300]:
+        vmax = rng.choice([1, 2, 3, 10**6])
+        items = [WeightItem(rng.randint(1, vmax), i) for i in range(n)]
+        rng.shuffle(items)
+        h, lo = rng.randint(0, 2), rng.randint(0, 5)
+        arr = [WeightItem(0, n + i) for i in range(lo)] + items
+        runs = ((h, lo, lo + n),)
+        sl = LeafSlice(Store(arr, None), runs, n)
+        ref = LeafSlice(Store(list(arr), None), runs, n)
+        cnt, ref_cnt = ComparisonCounter(), ComparisonCounter()
+
+        def same_state():
+            a, b = sl.store, ref.store
+            return (a.arr, a.cuts, a.cut_hits, cnt.count) == \
+                (b.arr, b.cuts, b.cut_hits, ref_cnt.count)
+
+        for level in range(h, h + n.bit_length()):
+            span = 1 << (level - h)
+            if n % span:
+                continue
+            if level > h:
+                got = split._fsi(level, sl, cnt)
+                want = _fsi_by_search(level, ref, ref_cnt)
+                assert got[0] == want[0] and \
+                    [x.runs for x in got[1:]] == [x.runs for x in want[1:]]
+                assert same_state(), (n, level)
+            for t in rng.sample(range(n // span + 1), min(4, n // span + 1)):
+                got = split._rank_split(level, sl, t, cnt)
+                want = _split_by_search(h, ref, t * span, ref_cnt)
+                assert [x.runs for x in got] == [x.runs for x in want]
+                assert same_state(), (n, level, t)
+        assert cnt.count > 0 or n == 2
