@@ -426,7 +426,9 @@ def code_cost(weights: WeightList, lengths: CodeLengthProfile) -> int:
 
 
 def distinct_length_count(lengths: CodeLengthProfile) -> int:
-    return len(set(lengths.lengths))
+    """k; a profile that holds its runs has one length per run."""
+    runs = lengths._runs
+    return len(set(lengths.lengths)) if runs is None else len(runs)
 
 
 def monotone(weights: WeightList, lengths: CodeLengthProfile) -> bool:

@@ -38,11 +38,13 @@ order inside pieces not yet split differs, and with it the count.
 A slice of one run ``(h, lo, hi)`` is leaves only, and the general search
 on it reduces to at most three leaf selections whose positions are known
 in advance: once they leave each selected weight at its rank position,
-each node at level h + gap is ``2^gap`` consecutive positions.  So `_fsi`
-and `_rank_split` make those `_leaf_select` calls on an unsorted store, in
-the order the search makes them, which select, cut and count as the
-search's calls did, and return the ranges by position arithmetic.  A
+each node at level h + gap is ``2^gap`` consecutive positions.  So
+`_run_node` answers `_fsa` (gap 0) and `_fsi` on such a slice, and
+`_rank_split` cuts it, by position arithmetic after making, on an
+unsorted store, the `_leaf_select` calls the search would make, in its
+order, which select, cut and count as the search's calls did.  A
 presorted run is in rank order already, and they skip the calls.
+`_locate` never sees a slice whose one run is at its level.
 """
 
 from __future__ import annotations
@@ -284,6 +286,8 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None,
     internal nodes below it.  If the leaf is the smaller probe, the test
     mirrors this with the upper budget `s2`.  Once one window is empty
     the node lies in the other, which is halved until both budgets hold.
+    A slice of one run at `level` never comes here: `_fsa` takes its lower
+    median leaf, which for even n is not the node these budgets pick.
     """
     if sl.n == 0:
         raise ValueError("empty slice")
@@ -292,15 +296,6 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None,
     top, lo0, hi0 = sl.runs[-1]
     if top != level:
         lo0 = hi0 = 0
-    elif len(sl.runs) == 1:
-        # leaves only: the lower median, without narrowing to s1, or the
-        # leaf of rank s1
-        t = s1 if rank else (sl.n + 1) // 2
-        at = _leaf_select(st, lo0, hi0, t, cnt)
-        if rank:
-            return t, None, _range(st, level, lo0, at + 1), _range(st, level, at + 1, hi0)
-        return (t, _range(st, level, at, at + 1), _range(st, level, lo0, at),
-                _range(st, level, at + 1, hi0))
     wbelow = _below(sl, level)
     # the leaf window is arr[wlo:whi]; the leaves before it rank below the
     # node, those after it above
@@ -400,8 +395,32 @@ def _locate(level: int, sl: LeafSlice, s1: int, nodes: int | None,
     return pos, chi, _union(st, lower, level, lo0, wlo), _union(st, upper, level, whi, hi0)
 
 
+def _run_node(st: Store, h: int, lo: int, hi: int, span: int, cnt: ComparisonCounter):
+    """Splitting node at level h + gap of the run ``arr[lo:hi]`` at level h,
+    ``span = 2^gap``; (pos, chi, lower, upper).  With alpha = (n + 1) // 2,
+    it is the node of rank ceil(alpha / span): the ``span`` leaves from ``a
+    = at - (alpha - 1) % span`` that hold the lower median leaf ``at``.  An
+    unsorted store first makes the search's selections: rank alpha of the
+    run, then those at the node's ends where they cut inside the run."""
+    alpha = (hi - lo + 1) // 2
+    at = lo + alpha - 1
+    a = at - ((alpha - 1) & (span - 1))
+    if st.vals is None:
+        _leaf_select(st, lo, hi, alpha, cnt)
+        if lo < a < at:
+            _leaf_select(st, lo, at, a - lo, cnt)
+        if at + 1 < a + span < hi:
+            _leaf_select(st, at + 1, hi, a + span - at - 1, cnt)
+    return (-(-alpha // span), _range(st, h, a, a + span), _range(st, h, lo, a),
+            _range(st, h, a + span, hi))
+
+
 def _fsa(level: int, sl: LeafSlice, cnt: ComparisonCounter):
-    """Splitting node among all nodes at `level`; (pos, chi, lower, upper)."""
+    """Splitting node among all nodes at `level`; (pos, chi, lower, upper).
+    A slice of one run at `level` is the lower median leaf (`_run_node`)."""
+    runs = sl.runs
+    if len(runs) == 1 and runs[0][0] == level:
+        return _run_node(sl.store, level, runs[0][1], runs[0][2], 1, cnt)
     return _locate(level, sl, sl.n // 2, None, cnt)
 
 
@@ -414,14 +433,8 @@ def _fsi(level: int, sl: LeafSlice, cnt: ComparisonCounter):
 
     This is the query the recursion ``_locate -> _fsi -> _fsa -> _locate``
     repeats, so its results are memoized for the store's lifetime, keyed
-    by the context level and the slice's tuple of ranges.
-
-    A slice of one run ``(h, lo, hi)`` of n leaves has the closed form:
-    with alpha = (n + 1) // 2, the node of rank ceil(alpha / span) is
-    ``[a, a + span)`` for ``a = lo + alpha - 1 - (alpha - 1) % span``.  The
-    search selects rank alpha of the run, then rank ``a - lo`` below it and
-    rank ``a + span - at - 1`` above it, where the widening cuts inside the
-    run; the closed form makes the same selections.
+    by the context level and the slice's tuple of ranges.  A slice of one
+    run has the closed form of `_run_node`.
     """
     runs = sl.runs
     if not runs:
@@ -437,20 +450,8 @@ def _fsi(level: int, sl: LeafSlice, cnt: ComparisonCounter):
         return out
     span = 1 << (level - h)
     if len(runs) == 1:
-        _, lo, hi = runs[0]
-        alpha = (hi - lo + 1) // 2
-        a = lo + alpha - 1 - ((alpha - 1) & (span - 1))
-        if a + span <= hi:
-            at = lo + alpha - 1
-            if st.vals is None:  # a presorted run is in rank order already
-                _leaf_select(st, lo, hi, alpha, cnt)
-                if lo < a < at:
-                    _leaf_select(st, lo, at, a - lo, cnt)
-                if at + 1 < a + span < hi:
-                    _leaf_select(st, at + 1, hi, a + span - at - 1, cnt)
-            out = st.memo[key] = (-(-alpha // span), _range(st, h, a, a + span),
-                                  _range(st, h, lo, a), _range(st, h, a + span, hi))
-            return out
+        out = st.memo[key] = _run_node(st, h, runs[0][1], runs[0][2], span, cnt)
+        return out
     alpha, chi, o1, o2 = _fsa(h, sl, cnt)
     off = (alpha - 1) & (span - 1)
     parts = [chi]
@@ -485,9 +486,8 @@ def _rank_split(level: int, sl: LeafSlice, t: int, cnt: ComparisonCounter,
     if len(sl.runs) == 1 and sl.runs[0][0] <= level:
         h, lo, hi = sl.runs[0]
         cut = lo + (t << (level - h))
-        if cut <= hi:
-            if st.vals is None:
-                _leaf_select(st, lo, hi, cut - lo, cnt)
-            return _range(st, h, lo, cut), _range(st, h, cut, hi)
+        if st.vals is None:
+            _leaf_select(st, lo, hi, cut - lo, cnt)
+        return _range(st, h, lo, cut), _range(st, h, cut, hi)
     _, _, first, rest = _locate(level, sl, t, total, cnt)
     return first, rest

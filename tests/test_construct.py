@@ -446,14 +446,26 @@ _IDENTITY_HITS = {
 
 
 @pytest.mark.parametrize("algo, kind", sorted(_IDENTITY_COMPARISONS))
-def test_identity_corpus(algo, kind):
+def test_identity_corpus(algo, kind, monkeypatch):
     # 100 random lists with heavy ties, each as given, as its sorted copy
     # and as a presorted list whose indices are not positions.  Profiles,
     # iterations and traces never change: the digest pins them.  It does
     # not depend on the driver, and the non-positional list builds what
     # the input builds.  The comparison totals are exact; a change that
     # lowers them updates these pins and records the old and new numbers
-    # in CHANGES.md.  So are the memo and cut hits
+    # in CHANGES.md.  So are the memo and cut hits.  `_fsa` and `_fsi`
+    # answer a slice of one run by `split._run_node`, so the general search
+    # never sees a slice whose only run is at the query level
+    real_locate = split._locate
+    locate_calls = 0
+
+    def watched_locate(level, sl, *args):
+        nonlocal locate_calls
+        locate_calls += 1
+        assert not (len(sl.runs) == 1 and sl.runs[0][0] == level), (level, sl.runs)
+        return real_locate(level, sl, *args)
+
+    monkeypatch.setattr(split, "_locate", watched_locate)
     digest = hashlib.sha256()
     total = cache_hits = cut_hits = 0
     for values in _identity_lists():
@@ -467,6 +479,7 @@ def test_identity_corpus(algo, kind):
     assert digest.hexdigest() == _IDENTITY_DIGEST[kind]
     assert total == _IDENTITY_COMPARISONS[algo, kind]
     assert (cache_hits, cut_hits) == _IDENTITY_HITS[algo, kind]
+    assert locate_calls > 0
 
 
 def _fibonacci_92():

@@ -85,6 +85,23 @@ def test_distinct_length_count():
     assert distinct_length_count(profile(4, 4, 3, 2, 1)) == 4
 
 
+def test_distinct_length_count_from_runs():
+    # a profile that holds its runs counts them; any other counts a set
+    w = WeightList.from_values(sorted(generators.example41(256, 0)), sorted_flag=True)
+    run_backed, _ = construct_lengths(w)
+    assert type(run_backed.lengths) is core.RunLengths
+    rng = random.Random(428)
+    monotone_tuple = profile(*sorted((rng.randint(1, 9) for _ in range(60)), reverse=True))
+    shuffled = list(monotone_tuple.lengths)
+    rng.shuffle(shuffled)
+    rising = profile(*shuffled)
+    assert run_backed._runs is not None and monotone_tuple._runs is not None
+    assert rising._runs is None
+    for p in (run_backed, monotone_tuple, rising):
+        assert distinct_length_count(p) == len(set(tuple(p.lengths)))
+    assert distinct_length_count(run_backed) == 3
+
+
 def test_length_profile_rejects_non_integers():
     # a length that is not an integer raises TypeError naming the first
     # such length, before the range is checked; NaN no longer slips past

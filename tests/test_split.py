@@ -495,10 +495,11 @@ def _split_by_search(level, sl, t, cnt):
 
 def _fsi_by_search(level, sl, cnt):
     """`_fsi` on a one-run slice by the general search: the splitting leaf
-    one level down, widened to its whole node by two rank splits."""
+    one level down (`_fsa`'s lower median), widened to its whole node by
+    two rank splits."""
     st, h = sl.store, sl.runs[0][0]
     span = 1 << (level - h)
-    alpha, chi, o1, o2 = split._locate(h, sl, sl.n // 2, None, cnt)
+    alpha, chi, o1, o2 = split._fsa(h, sl, cnt)
     off = (alpha - 1) % span
     o1, below = _split_by_search(h, o1, alpha - 1 - off, cnt)
     above, o2 = _split_by_search(h, o2, span - off - 1, cnt)
