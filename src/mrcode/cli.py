@@ -5,10 +5,11 @@ Exit codes: 0 on success; 1 when `verify` finds a code that is not
 optimal, not monotone or without the exclusion property (`verify_exclusion`,
 run only on lengths of Kraft sum 1, the ones that make a full tree), or when
 `bench` finds a code that is not optimal; 2 on every usage, parse or file
-error, printed as one line ``mrcode: error: <file>: <reason>``.  The rules
-an input must meet are the library's.  Weight files hold one positive
-decimal integer per line; length files one integer per line, aligned with
-the weight file.
+error, printed as one line ``mrcode: error: <file>: <reason>`` (``bench:
+<option> ...`` when `bench` would measure nothing).  The rules an input
+must meet are the library's.  Weight files hold one positive decimal
+integer per line; length files one integer per line, aligned with the
+weight file.
 """
 
 from __future__ import annotations
@@ -176,6 +177,11 @@ def cmd_bench(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     modes = list(_bench_modes(args.modes))
+    if args.repeat < 1:
+        raise ValueError(f"bench: --repeat must be at least 1, not {args.repeat}")
+    for option, listed in (("--families", families), ("--sizes", sizes), ("--modes", modes)):
+        if not listed:
+            raise ValueError(f"bench: {option} lists nothing to run")
     rows = []
     status = 0
     for family in families:

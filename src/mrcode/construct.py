@@ -6,12 +6,15 @@ straight to the next level that can receive leaves.  Each pass assigns a
 weight to a level only while its value is below the sum of the two
 smallest-rank nodes there, after keeping the level populations consistent
 with a full binary tree by moving the largest-rank subtrees up.
+
+A construction's state is one `_Levels`: the split store, the pending pool
+and the level runs at once, over the one list that `PendingPool` lays out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 from .core import (CodeLengthProfile, ComparisonCounter, ConstructionStats,
                    LevelTraceEntry, WeightItem, WeightList)
@@ -28,25 +31,33 @@ class ConstructionMode:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
-class PendingPool:
-    """The weights of a construction, as one list and a cursor.
+class PendingPool(Store):
+    """The weights of a construction as one list with a cursor, and the
+    split store over it.
 
-    ``arr[:cur]`` holds the weights assigned to levels (their runs belong
-    to `_Levels`), and ``arr[cur:]`` the weights not yet assigned.
-    Unsorted pools (``vals`` None) copy the input to a list, which
-    selections reorder in place, and find their two smallest by one
-    counted scan, kept until `take_below` assigns a weight.  Presorted
-    pools keep the ascending input, which nothing writes, with ``vals``
-    its values by position: the minimum is positional and threshold
-    extraction runs an exponential search followed by a binary search
-    over ``vals``, counting each probe.
+    ``arr[:cur]`` holds the weights assigned to levels, one run per level
+    in ascending level (`_Levels.runs`), and ``arr[cur:]`` the pending
+    ones; each pass moves the cursor.  An unsorted pool (``vals`` and
+    ``psum`` None) copies the input to a list, which selections reorder
+    in place, and finds its two smallest by one counted scan, kept until
+    `take_below` assigns a weight.  A presorted pool keeps the ascending
+    input unwritten (a `Positions` view when every index is its
+    position), with the ``vals`` and block totals ``psum`` of its
+    `WeightList`: the minimum is positional, and `take_below` runs an
+    exponential then a binary search over ``vals``, counting each probe.
     """
 
-    def __init__(self, items: Sequence[WeightItem], vals: Sequence[int] | None,
-                 counter: ComparisonCounter):
-        self.vals = vals
+    __slots__ = ("cnt", "cur", "two")
+
+    def __init__(self, weights: WeightList, counter: ComparisonCounter):
+        if weights.sorted_flag:
+            # a positional list makes its few items on read
+            vals = weights._vals
+            super().__init__(Positions(vals) if weights.positional else weights.items,
+                             vals, weights._psum)
+        else:
+            super().__init__(list(weights.items), None)
         self.cnt = counter
-        self.arr: Sequence[WeightItem] = list(items) if vals is None else items
         self.cur = 0
         self.two = None  # unsorted: the two smallest of arr[cur:], once scanned
 
@@ -108,50 +119,47 @@ class PendingPool:
         return lo - c
 
 
-class _Levels(Store):
-    """Leaf assignment as runs of the pool's list.
+class _Levels(PendingPool):
+    """A construction's state: the `PendingPool`, whose docstring lays
+    out the list, and ``runs``, the split engine's tuple of ``(level, lo,
+    hi)`` for the assigned part, which `slice` hands out as it is.
 
-    Level ``lv`` holds ``arr[lo:hi]`` for ``runs[lv] = (lo, hi)``; the runs
-    ascend with the level and tile ``arr[:pool.cur]``, so each run is one
-    distinct codeword length.  In presorted mode the list never changes:
-    the weights of each level are a run of the sorted input, and a range
-    sums from the block totals that the input `WeightList` keeps.  In
-    unsorted mode selections reorder a run in place, keeping every
-    range's weights.  ``runs`` is a dict in ascending level, and `slice`
-    hands it out as the split engine's tuple of ``(level, lo, hi)``.
-    `add` appends weights that rank above the level's leaves and
-    `apply_move` hands a level, at its low end, weights that rank below
-    its leaves, so the query memo and the rank cuts stay valid for the
-    whole construction; `construct_lengths` clears the memo on return.
+    The runs ascend with the level and tile ``arr[:cur]``, so each is one
+    distinct codeword length.  `assign` appends weights that rank above
+    the level's leaves and `apply_move` hands a level, at its low end,
+    weights that rank below its leaves, so every range keeps its weights
+    (presorted runs stay sorted; unsorted selections reorder a run in
+    place), and the query memo and the rank cuts stay valid for the whole
+    construction; `construct_lengths` clears the memo on return.
     """
 
     __slots__ = ("runs",)
 
-    def __init__(self, pool: PendingPool, psum: Sequence[int] | None):
-        super().__init__(pool.arr, pool.vals, psum)
-        self.runs: dict[int, tuple[int, int]] = {}
+    def __init__(self, weights: WeightList, counter: ComparisonCounter):
+        super().__init__(weights, counter)
+        self.runs: tuple[tuple[int, int, int], ...] = ()
 
     def top(self) -> int:
-        return next(reversed(self.runs))
+        return self.runs[-1][0]
 
-    def add(self, level: int, count: int) -> None:
-        """The `count` weights after the last run join `level`, which is
-        the top level or above it."""
-        if not count:
-            return
-        runs = self.runs
-        end = runs[self.top()][1] if runs else 0
-        lo = runs[level][0] if level in runs else end
-        runs[level] = (lo, end + count)
+    def assign(self, level: int, bound: int) -> int:
+        """Assign the pool's weights below `bound` to `level`, the top
+        level or above it.  Returns how many there were."""
+        c = self.cur
+        taken = self.take_below(bound)
+        if taken:
+            runs = self.runs
+            if runs and runs[-1][0] == level:
+                runs, c = runs[:-1], runs[-1][1]
+            self.runs = runs + ((level, c, self.cur),)
+        return taken
 
     def slice(self) -> LeafSlice:
-        runs = self.runs
-        return LeafSlice(self, tuple((lv, lo, hi) for lv, (lo, hi) in runs.items()),
-                         runs[self.top()][1])
+        return LeafSlice(self, self.runs, self.cur)
 
     def snapshot(self) -> dict[int, tuple[WeightItem, ...]]:
         arr = self.arr
-        return {lv: tuple(sorted(arr[lo:hi])) for lv, (lo, hi) in self.runs.items()}
+        return {lv: tuple(sorted(arr[lo:hi])) for lv, lo, hi in self.runs}
 
     def apply_move(self, moved: LeafSlice) -> None:
         """Raise every weight of `moved` one level.
@@ -160,7 +168,7 @@ class _Levels(Store):
         they end its run; they start the run of ``lv + 1``, and only the
         cut between the two runs moves.
         """
-        runs = self.runs
+        runs = {lv: (lo, hi) for lv, lo, hi in self.runs}
         for lv, cut, end in reversed(moved.runs):
             lo, hi = runs.pop(lv)
             if end != hi:
@@ -169,7 +177,7 @@ class _Levels(Store):
             if lo < cut:
                 runs[lv] = (lo, cut)
             runs[lv + 1] = (cut, up[1] if up else hi)
-        self.runs = dict(sorted(runs.items()))
+        self.runs = tuple((lv, lo, hi) for lv, (lo, hi) in sorted(runs.items()))
 
 
 def _two_smallest(items: list, cnt: ComparisonCounter):
@@ -192,47 +200,40 @@ def _two_smallest(items: list, cnt: ComparisonCounter):
     return a, b
 
 
-def _assign_level0(levels: _Levels, pool: PendingPool) -> int:
-    a, b = pool.two_smallest()
-    taken = pool.take_below(a[0] + b[0])
-    levels.add(0, taken)
-    return taken
+def _assign_level0(levels: _Levels) -> int:
+    a, b = levels.two_smallest()
+    return levels.assign(0, a[0] + b[0])
 
 
-def _assign_to_level(level: int, levels: _Levels, pool: PendingPool) -> int:
+def _assign_to_level(level: int, levels: _Levels) -> int:
     """Four-candidate threshold: the two smallest nodes already at `level`
     and the two smallest pool weights; everything below the sum of the two
     smallest-rank candidates moves in."""
-    cnt = pool.cnt
+    cnt = levels.cnt
     first, rest = _rank_split(level, levels.slice(), 1, cnt)
     nodes = [(first.total_value(), first)]
     if rest.n:
         second, _ = _rank_split(level, rest, 1, cnt)
         nodes.append((second.total_value(), second))
-    ws = [w for w in pool.two_smallest() if w is not None]
+    ws = [w for w in levels.two_smallest() if w is not None]
     values = [v for v, _ in nodes] + [w[0] for w in ws]
     # a key's index is read only when its value ties another's, so a
     # node's smallest index, a scan of its weights, is needed only then
     keys = [(v, nd.min_index() if values.count(v) > 1 else 0) for v, nd in nodes]
     keys += ws
     best, second_key = _two_smallest(keys, cnt)
-    taken = pool.take_below(best[0] + second_key[0])
-    levels.add(level, taken)
-    return taken
+    return levels.assign(level, best[0] + second_key[0])
 
 
-def _compute_next_level(top: int, levels: _Levels, pool: PendingPool) -> int:
+def _compute_next_level(top: int, levels: _Levels) -> int:
     """Next level that can receive weights: count the longest prefix of
     smallest-rank nodes at `top` whose total value stays within the minimum
     remaining weight, then jump by the floor of its base-2 logarithm.  The
     prefix is found by halving at `_fsa`'s node, one counted comparison a
     step; on one presorted run of leaves that node is the lower median
     leaf, so the halving runs on positions, with totals from block sums."""
-    w = pool.min_item()
-    cnt = pool.cnt
-    window = levels.slice()
-    remaining = w[0]
-    absorbed = 0
+    cnt = levels.cnt
+    remaining, window, absorbed = levels.min_item()[0], levels.slice(), 0
     while window.n:
         if levels.vals is not None and len(window.runs) == 1 and window.runs[0][0] == top:
             _, lo, hi = window.runs[0]
@@ -257,8 +258,7 @@ def _compute_next_level(top: int, levels: _Levels, pool: PendingPool) -> int:
     return top + (absorbed.bit_length() - 1)
 
 
-def _maintain_kraft(top: int, next_level: int | None, levels: _Levels,
-                    cnt: ComparisonCounter) -> int:
+def _maintain_kraft(top: int, next_level: int | None, levels: _Levels) -> int:
     """Move the subtrees of the largest-rank nodes at `top` one level up so
     the node count divides the span to `next_level` (or, with None at the
     end, reaches a power of two).  Returns the number of subtrees moved."""
@@ -270,14 +270,14 @@ def _maintain_kraft(top: int, next_level: int | None, levels: _Levels,
         nu = (1 << (m - 1).bit_length()) - m
     if nu == 0:
         return 0
-    _, moved = _rank_split(top, sl, m - nu, cnt, m)
+    _, moved = _rank_split(top, sl, m - nu, levels.cnt, m)
     levels.apply_move(moved)
     return nu
 
 
-def _finish(levels: _Levels, cnt: ComparisonCounter) -> tuple[int, int]:
+def _finish(levels: _Levels) -> tuple[int, int]:
     """Terminal adjustment; returns (root level, subtrees moved)."""
-    nu = _maintain_kraft(levels.top(), None, levels, cnt)
+    nu = _maintain_kraft(levels.top(), None, levels)
     top = levels.top()
     m = _node_count(top, levels.slice())
     if m & (m - 1):
@@ -303,34 +303,25 @@ def construct_lengths(weights: WeightList,
         stats = ConstructionStats(0, counter.count, 1, ())
         return CodeLengthProfile((1,)), stats
 
-    if not weights.sorted_flag:
-        pool = PendingPool(weights.items, None, counter)
-        levels = _Levels(pool, None)
-    else:
-        # a presorted construction reads values and the list's block
-        # totals; a positional list makes its few items on read
-        vals = weights._vals
-        pool = PendingPool(Positions(vals) if weights.positional else weights.items,
-                           vals, counter)
-        levels = _Levels(pool, weights._psum)
-    trace = [LevelTraceEntry(0, _assign_level0(levels, pool), 0)]
+    levels = _Levels(weights, counter)
+    trace = [LevelTraceEntry(0, _assign_level0(levels), 0)]
     if iteration_hook:
         iteration_hook(levels.snapshot())
 
     detailed = mode.algorithm == "detailed"
     level = pending_moves = passes = 0
     cap = 4 * n + 128
-    while len(pool):
+    while len(levels):
         passes += 1
         if passes > cap:
             raise AssertionError("construction did not terminate")
         if detailed:
             level = levels.top()
-            nxt = _compute_next_level(level, levels, pool)
+            nxt = _compute_next_level(level, levels)
         else:
             nxt = level + 1
-        pending_moves += _maintain_kraft(level, nxt, levels, counter)
-        got = _assign_to_level(nxt, levels, pool)
+        pending_moves += _maintain_kraft(level, nxt, levels)
+        got = _assign_to_level(nxt, levels)
         if got:
             trace.append(LevelTraceEntry(nxt, got, pending_moves))
             pending_moves = 0
@@ -338,25 +329,25 @@ def construct_lengths(weights: WeightList,
         if iteration_hook:
             iteration_hook(levels.snapshot())
 
-    root, final_moves = _finish(levels, counter)
+    root, final_moves = _finish(levels)
     levels.memo.clear()  # its slices point back at `levels`
     trace.append(LevelTraceEntry(levels.top(), 0, final_moves))
     iterations = len(trace) - 1
     if iteration_hook:
         iteration_hook(levels.snapshot())
 
-    if type(pool.arr) is Positions:
+    if type(levels.arr) is Positions:
         # the runs tile the input in position order, and position is index,
         # so they are the profile's runs, and its lengths; the top level's
         # length is the shortest of the k
         if root <= levels.top():
             raise AssertionError(f"root level {root} is not above the top level")
         profile = CodeLengthProfile._from_runs(
-            tuple((root - lv, lo, hi) for lv, (lo, hi) in levels.runs.items()))
+            tuple((root - lv, lo, hi) for lv, lo, hi in levels.runs))
     else:
         lengths = [0] * n
-        arr = pool.arr
-        for lv, (lo, hi) in levels.runs.items():
+        arr = levels.arr
+        for lv, lo, hi in levels.runs:
             code_len = root - lv
             for it in arr[lo:hi]:
                 lengths[it[1]] = code_len

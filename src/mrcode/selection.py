@@ -41,11 +41,6 @@ def _median5(a, b, c, d, e, cnt: ComparisonCounter):
     return b if b < d else d
 
 
-def _small_median(group: list, cnt: ComparisonCounter):
-    """Median (lower) of up to 4 items by counted insertion sort."""
-    return _select(group, (len(group) + 1) // 2, cnt)[0]
-
-
 def _median3(a, b, c, cnt: ComparisonCounter):
     """Median of three items in 2 or 3 counted comparisons."""
     if b < a:
@@ -72,8 +67,8 @@ def _pivot(items: list, cnt: ComparisonCounter):
     for i in range(0, n - n % 5, 5):
         medians.append(_median5(items[i], items[i + 1], items[i + 2],
                                 items[i + 3], items[i + 4], cnt))
-    if n % 5:
-        medians.append(_small_median(items[n - n % 5:], cnt))
+    if n % 5:  # the lower median of the last 1 to 4 items, by the base case
+        medians.append(_select(items[n - n % 5:], (n % 5 + 1) // 2, cnt)[0])
     return _select(medians, (len(medians) + 1) // 2, cnt, fallback=True)[0]
 
 
@@ -128,8 +123,6 @@ def _select(items: list, t: int, cnt: ComparisonCounter, fallback: bool = False)
                     out.insert(i, x)
                     c += (i > 0) - i
             cnt.count += c
-            if work is items:
-                return out[t - 1], out[:t - 1], out[t:]
             lows_acc.extend(out[:t - 1])
             item, highs = out[t - 1], out[t:]
             break

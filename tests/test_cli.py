@@ -269,6 +269,27 @@ def test_bench_rejects_a_row_that_is_not_optimal(tmp_path, monkeypatch, capsys):
     assert len((tmp_path / "bench.medians.csv").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("option, value", [
+    pytest.param("--repeat", "0", id="repeat-0"),
+    pytest.param("--repeat", "-2", id="repeat-negative"),
+    pytest.param("--families", " ", id="no-family"),
+    pytest.param("--sizes", ",", id="no-size"),
+    pytest.param("--modes", ",", id="no-mode"),
+])
+def test_bench_that_would_measure_nothing_exits_2(option, value, tmp_path, capsys):
+    # a run with no repetition, family, size or mode would write a
+    # header-only CSV and check nothing; it is a usage error instead
+    args = {"--families": "equal", "--sizes": "8", "--modes": "detailed", "--repeat": "1"}
+    args[option] = value
+    out = tmp_path / "bench.csv"
+    argv = ["bench"] + [x for pair in args.items() for x in pair] + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mrcode: error: bench: {option} ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bench_family_profiles(tmp_path):
     # equal weights: comparisons are dominated by the single level-0 scan;
     # exponential weights: every length is distinct, so k = n - 1

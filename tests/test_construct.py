@@ -289,10 +289,10 @@ def test_presorted_example41_answers_sorted_runs_by_position(monkeypatch):
     assert calls["locate"] <= 8 and calls["fsa"] <= 8
 
 
-def _next_level_by_engine(top, levels, pool):
+def _next_level_by_engine(top, levels):
     """The next-level descent by the engine's `_fsa` on every window."""
-    cnt = pool.cnt
-    window, remaining, absorbed = levels.slice(), pool.min_item()[0], 0
+    cnt = levels.cnt
+    window, remaining, absorbed = levels.slice(), levels.min_item()[0], 0
     while window.n:
         alpha, chi, o1, o2 = split._fsa(top, window, cnt)
         prefix_value = o1.total_value() + chi.total_value()
@@ -322,11 +322,10 @@ def test_next_level_on_one_sorted_run_matches_the_engine():
         results = []
         for next_level in (construct._compute_next_level, _next_level_by_engine):
             w = WeightList.from_values(values, sorted_flag=True)
-            pool = PendingPool(split.Positions(w._vals), w._vals, ComparisonCounter())
-            levels = construct._Levels(pool, core._block_totals(w._vals))
-            levels.add(top, placed)
-            pool.cur = placed
-            results.append((next_level(top, levels, pool), pool.cnt.count))
+            levels = construct._Levels(w, ComparisonCounter())
+            levels.cur = placed
+            levels.runs = ((top, 0, placed),)
+            results.append((next_level(top, levels), levels.cnt.count))
         assert results[0] == results[1]
 
 
@@ -540,33 +539,62 @@ def test_runs_grow_at_their_ends_in_rank_order(monkeypatch):
     # above the level's leaves, and a Kraft move hands the next level, at
     # its low end, weights that rank below its leaves; so every boundary
     # handed out stays a rank boundary of its run, which selections keep
-    add, apply_move = construct._Levels.add, construct._Levels.apply_move
+    assign, apply_move = construct._Levels.assign, construct._Levels.apply_move
     joins = 0
 
-    def checked_add(self, level, count):
+    def checked_assign(self, level, bound):
         nonlocal joins
-        if count and level in self.runs:
-            lo, hi = self.runs[level]
+        runs = {lv: (lo, hi) for lv, lo, hi in self.runs}
+        count = assign(self, level, bound)
+        if count and level in runs:
+            lo, hi = runs[level]
             assert max(self.arr[lo:hi]) < min(self.arr[hi:hi + count])
             joins += 1
-        add(self, level, count)
+        return count
 
     def checked_move(self, moved):
         nonlocal joins
+        runs = {lv: (lo, hi) for lv, lo, hi in self.runs}
         for lv, cut, end in moved.runs:
-            if lv + 1 in self.runs:
-                lo, hi = self.runs[lv + 1]
+            if lv + 1 in runs:
+                lo, hi = runs[lv + 1]
                 assert max(self.arr[cut:end]) < min(self.arr[lo:hi])
                 joins += 1
         apply_move(self, moved)
 
-    monkeypatch.setattr(construct._Levels, "add", checked_add)
+    monkeypatch.setattr(construct._Levels, "assign", checked_assign)
     monkeypatch.setattr(construct._Levels, "apply_move", checked_move)
     for values in _memo_corpus():
         for kind in ("unsorted", "sorted", "nonpositional"):
             for mode in (DETAILED, BASIC):
                 construct_lengths(_as_kind(values, kind), mode)
     assert joins > 0
+
+
+def test_runs_tile_the_assigned_part(monkeypatch):
+    # one object holds the level runs and the pending pool over one list:
+    # whenever the engine is handed the runs, they are non-empty, ascend
+    # strictly by level and tile arr[:cur], and the pool is the rest
+    real = construct._Levels.slice
+    calls = 0
+
+    def checked_slice(self):
+        nonlocal calls
+        calls += 1
+        runs = self.runs
+        assert runs and all(lo < hi for _, lo, hi in runs), runs
+        assert all(a[0] < b[0] for a, b in zip(runs, runs[1:])), runs
+        assert [lo for _, lo, _ in runs] == [0] + [hi for _, _, hi in runs[:-1]], runs
+        assert runs[-1][2] == self.cur, (runs, self.cur)
+        assert len(self) == len(self.arr) - self.cur
+        return real(self)
+
+    monkeypatch.setattr(construct._Levels, "slice", checked_slice)
+    for values in _identity_lists():
+        for kind in ("unsorted", "sorted", "nonpositional"):
+            for mode in (DETAILED, BASIC):
+                construct_lengths(_as_kind(values, kind), mode)
+    assert calls > 0
 
 
 def test_values_in_and_items_built_lists_construct_alike():
@@ -706,7 +734,7 @@ def _check_cuts(store):
     an upper part in (value, index) order."""
     arr, cuts = store.arr, store.cuts
     assert cuts == sorted(set(cuts))
-    for lo, hi in store.runs.values():
+    for _, lo, hi in store.runs:
         inside = cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)]
         if inside:
             run = arr[lo:hi]
@@ -759,20 +787,18 @@ def test_repeat_construction_counts_alike():
                 assert construct_lengths(weights, mode) == first
 
 
-def _assign_with_every_index(level, levels, pool):
+def _assign_with_every_index(level, levels):
     """Reference four-candidate assignment: every node key carries its
     smallest index, read by a scan whether or not a value ties."""
-    cnt = pool.cnt
+    cnt = levels.cnt
     first, rest = construct._rank_split(level, levels.slice(), 1, cnt)
     keys = [(first.total_value(), first.min_index())]
     if rest.n:
         second, _ = construct._rank_split(level, rest, 1, cnt)
         keys.append((second.total_value(), second.min_index()))
-    keys += [w for w in pool.two_smallest() if w is not None]
+    keys += [w for w in levels.two_smallest() if w is not None]
     best, second_key = construct._two_smallest(keys, cnt)
-    taken = pool.take_below(best[0] + second_key[0])
-    levels.add(level, taken)
-    return taken
+    return levels.assign(level, best[0] + second_key[0])
 
 
 def test_assignment_reads_indices_only_on_ties(monkeypatch):
@@ -917,7 +943,7 @@ def test_pool_counted_scans():
     # one two-smallest scan serves min_item and two_smallest until
     # take_below assigns a weight
     cnt = ComparisonCounter()
-    pool = PendingPool(WeightList.from_values([4, 1, 3, 2]).items, None, cnt)
+    pool = PendingPool(WeightList.from_values([4, 1, 3, 2]), cnt)
     assert pool.min_item().value == 1
     assert cnt.count == 5
     a, b = pool.two_smallest()
@@ -933,7 +959,7 @@ def test_pool_counted_scans():
 def test_pool_sorted_cursor_is_cheap():
     cnt = ComparisonCounter()
     w = WeightList.from_values(list(range(1, 101)), sorted_flag=True)
-    pool = PendingPool(w.items, [it.value for it in w.items], cnt)
+    pool = PendingPool(w, cnt)
     assert pool.min_item().value == 1
     assert cnt.count == 0
     assert pool.take_below(51) == 50 and len(pool) == 50
